@@ -5,13 +5,18 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
+
+from .distributions import _logsumexp
 
 
 @lru_cache(maxsize=16)
 def _leggauss(n: int):
+    """Gauss-Legendre nodes and log weights on [-1, 1], shared read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    logw = np.log(w)
+    x.setflags(write=False)
+    logw.setflags(write=False)
+    return x, logw
 
 
 def log_integral_gl(log_f, lo: float, hi: float, nodes: int = 200) -> float:
@@ -23,11 +28,11 @@ def log_integral_gl(log_f, lo: float, hi: float, nodes: int = 200) -> float:
     """
     if not hi > lo:
         return -math.inf
-    x, w = _leggauss(nodes)
+    x, logw = _leggauss(nodes)
     half = 0.5 * (hi - lo)
     pts = 0.5 * (hi + lo) + half * x
-    vals = np.asarray(log_f(pts), dtype=float) + np.log(w)
-    return float(logsumexp(vals)) + math.log(half)
+    vals = np.asarray(log_f(pts), dtype=float) + logw
+    return _logsumexp(vals) + math.log(half)
 
 
 def log_integral_panels(log_f, breakpoints, nodes: int = 32) -> float:
@@ -35,16 +40,16 @@ def log_integral_panels(log_f, breakpoints, nodes: int = 32) -> float:
 
     All panel nodes are evaluated in a single vectorized call.
     """
-    bps = np.asarray([float(b) for b in breakpoints])
+    bps = np.asarray(breakpoints, dtype=float)
     lo = bps[:-1]
     hi = bps[1:]
     keep = hi > lo
     if not np.any(keep):
         return -math.inf
     lo, hi = lo[keep], hi[keep]
-    x, w = _leggauss(nodes)
+    x, logw = _leggauss(nodes)
     half = 0.5 * (hi - lo)
     pts = (0.5 * (hi + lo)[:, None] + half[:, None] * x[None, :]).ravel()
-    logw = (np.log(half)[:, None] + np.log(w)[None, :]).ravel()
+    logw = (np.log(half)[:, None] + logw[None, :]).ravel()
     vals = np.asarray(log_f(pts), dtype=float) + logw
-    return float(logsumexp(vals))
+    return _logsumexp(vals)

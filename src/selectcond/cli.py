@@ -172,7 +172,11 @@ def _cmd_infer(args) -> int:
         X = np.loadtxt(args.design, delimiter=",", ndmin=2)
         y = _read_numbers(args.data)
         if X.shape[0] != y.size:
-            raise ValueError("design rows must match the data length")
+            raise _UsageError(f"--design has {X.shape[0]} rows but the data has "
+                              f"{y.size} values")
+        if not poly._has_unit_columns(X):
+            raise _UsageError("--design columns must have unit length "
+                              "(see selectcond.polyhedral.normalize_columns)")
         s, event = poly.marginal_screening_event(X, y, args.threshold)
         if not 0 <= args.coordinate < len(s):
             raise ValueError(f"--coordinate outside the selected set of size {len(s)}")

@@ -100,11 +100,36 @@ def _log_interval_mass(a: float, b: float) -> float:
     return out
 
 
+# Up to this many values a pure-Python loop beats numpy's per-call overhead;
+# the truncated-Gaussian interval masses and two-stage prior mixtures sit
+# below it, the 200-800-node quadrature vectors far above.
+_LSE_LOOP_MAX = 8
+
+
 def _logsumexp(values) -> float:
+    """log(sum(exp(values))) by max-shift: the package's only log-sum-exp.
+
+    -inf for empty or all -inf input, +inf if any value is +inf, NaN if any
+    value is NaN.
+    """
+    if len(values) > _LSE_LOOP_MAX:
+        a = np.asarray(values, dtype=float)
+        i = a.argmax()
+        m = a[i]
+        if not math.isfinite(m):
+            return float(m)
+        # the largest term leaves the sum and comes back through log1p, which
+        # keeps its last bits; this reproduces scipy.special.logsumexp exactly
+        # when the maximum is unique
+        e = np.exp(a - m)
+        e[i] = 0.0
+        return float(np.log1p(e.sum()) + m)
     vals = [v for v in values if v != -math.inf]
     if not vals:
         return -math.inf
     m = max(vals)
+    if m == math.inf:
+        return math.nan if any(math.isnan(v) for v in vals) else math.inf
     return m + math.log(sum(math.exp(v - m) for v in vals))
 
 

@@ -255,6 +255,12 @@ def normalize_columns(X) -> np.ndarray:
     return X / norms
 
 
+def _has_unit_columns(X) -> bool:
+    """Whether every column of X has unit Euclidean length, to 1e-8."""
+    norms = np.linalg.norm(np.asarray(X, dtype=float), axis=0)
+    return not np.any(np.abs(norms - 1.0) > 1e-8)
+
+
 def marginal_screening_event(X, y, threshold: float):
     """Select s = {j : |x_j'y| > threshold}; encode the event as a polyhedron.
 
@@ -264,8 +270,7 @@ def marginal_screening_event(X, y, threshold: float):
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    norms = np.linalg.norm(X, axis=0)
-    if np.any(np.abs(norms - 1.0) > 1e-8):
+    if not _has_unit_columns(X):
         raise ValueError("columns of X must be normalized to unit length")
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
@@ -273,9 +278,10 @@ def marginal_screening_event(X, y, threshold: float):
     selected = np.flatnonzero(np.abs(corr) > threshold)
     if selected.size == 0:
         raise NoSelectionError("no selection")
+    chosen = set(selected.tolist())
     rows, rhs = [], []
     for j in range(X.shape[1]):
-        if j in set(selected.tolist()):
+        if j in chosen:
             sign = 1.0 if corr[j] > 0 else -1.0
             rows.append(-sign * X[:, j])
             rhs.append(-threshold)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-from scipy.special import log_ndtr, logsumexp, ndtr
+from scipy.special import log_ndtr, ndtr
 
 from ._quad import log_integral_panels
-from .distributions import _log_interval_mass, std_normal_log_pdf
+from .distributions import _log_interval_mass, _logsumexp, std_normal_log_pdf
 from .results import InferenceResult
 from .selective import invert_monotone_cdf
 
@@ -129,7 +129,7 @@ def _log_mixture_sel_prob(prior: SampleSizePrior, theta: float, z: float) -> flo
         for k, p in zip(prior.support, prior.probs)
         if p > 0
     ]
-    return float(logsumexp(terms))
+    return _logsumexp(terms)
 
 
 def _gaussian_loglik(data: TwoStageData, theta: float) -> float:
@@ -181,7 +181,7 @@ def sample_size_pmf_given_selection(prior: SampleSizePrior, theta: float,
         ])
         if np.all(np.isneginf(logs)):
             raise ValueError("all selection-weighted masses are zero")
-        return np.exp(logs - logsumexp(logs))
+        return np.exp(logs - _logsumexp(logs))
     return weights / total
 
 
@@ -277,7 +277,7 @@ def _unconditional_score(theta: float, data: TwoStageData,
         log_terms.append(math.log(p) + float(log_ndtr(theta * rk - z)))
         dlog_terms.append(math.log(p) + float(std_normal_log_pdf(theta * rk - z))
                           + 0.5 * math.log(k))
-    dlog_mix = math.exp(float(logsumexp(dlog_terms)) - float(logsumexp(log_terms)))
+    dlog_mix = math.exp(_logsumexp(dlog_terms) - _logsumexp(log_terms))
     return data.total_sum - data.n * theta - dlog_mix
 
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-from scipy.special import log_ndtr, logsumexp
+from scipy.special import log_ndtr
 
 from ._quad import _leggauss, log_integral_gl
-from .distributions import std_normal_log_pdf, std_normal_quantile
+from .distributions import _logsumexp, std_normal_log_pdf, std_normal_quantile
 from .results import InferenceResult
 from .selective import invert_equal_tailed
 
@@ -225,15 +225,15 @@ def _joint_negloglik_grad(th: np.ndarray, y: np.ndarray, sigma: float):
     t1 = th[0]
     nuis = th[1:]
     lo, hi = t1 - _WINDOW_SIGMAS * sigma, t1 + _WINDOW_SIGMAS * sigma
-    glx, glw = _leggauss(_GL_NODES)
+    glx, log_glw = _leggauss(_GL_NODES)
     half = 0.5 * (hi - lo)
     pts = 0.5 * (hi + lo) + half * glx
     z1 = (pts - t1) / sigma
     log_phi1 = std_normal_log_pdf(z1) - math.log(sigma)
     zo = (pts[:, None] - nuis[None, :]) / sigma
     log_cdfs = log_ndtr(zo)
-    log_nodes = log_phi1 + log_cdfs.sum(axis=1) + np.log(glw)
-    lse = float(logsumexp(log_nodes))
+    log_nodes = log_phi1 + log_cdfs.sum(axis=1) + log_glw
+    lse = _logsumexp(log_nodes)
     log_den = lse + math.log(half)
     node_w = np.exp(log_nodes - lse)
     mills = np.exp(np.clip(std_normal_log_pdf(zo) - log_cdfs, None, 300.0))

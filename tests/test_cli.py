@@ -155,6 +155,20 @@ class TestInfer:
         assert doc["model_kind"] == "polyhedral"
         assert doc["ci"][0] < doc["estimate"] < doc["ci"][1]
 
+    @pytest.mark.parametrize("rows, values", [
+        ("1,0\n0,1\n1,1", "2.0,0.5,1.0"),
+        ("1,0\n0,1\n0,0", "2.0,0.5"),
+    ], ids=["columns-not-unit-norm", "rows-not-matching-data"])
+    def test_polyhedral_bad_design_exits_one(self, tmp_path, capsys, rows, values):
+        design = tmp_path / "X.csv"
+        design.write_text(rows)
+        data = tmp_path / "y.csv"
+        data.write_text(values)
+        code = main(["infer", "polyhedral", "--design", str(design),
+                     "--data", str(data), "--threshold", "1.0"])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
     def test_empty_data_numeric_failure(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"
         data.write_text("")

@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import logsumexp as scipy_logsumexp
 
 from selectcond.distributions import (
+    _LSE_LOOP_MAX,
+    _logsumexp,
     EmptyTruncationError,
     TruncatedGaussian,
     std_normal_cdf,
@@ -264,3 +267,72 @@ class TestProperties:
         draws = truncated_sample(tg, rng, 50)
         for d in draws:
             assert any(l <= d <= u for l, u in tg.intervals)
+
+
+# lengths on both sides of the loop/numpy switch, plus the quadrature size
+LSE_LENGTHS = sorted({0, 1, 2, 3, _LSE_LOOP_MAX - 1, _LSE_LOOP_MAX,
+                      _LSE_LOOP_MAX + 1, 800})
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def lse_inputs(draw, special=st.nothing()):
+    """A tuple, list or ndarray of floats, some -inf, maybe some `special`."""
+    n = draw(st.one_of(st.sampled_from(LSE_LENGTHS), st.integers(0, 40)))
+    finite = st.one_of(st.floats(-800.0, 800.0), st.floats(-1e300, 1e300))
+    elements = st.one_of(finite, finite, finite, st.just(-INF), special)
+    vals = draw(st.lists(elements, min_size=n, max_size=n))
+    container = draw(st.sampled_from((tuple, list, np.array)))
+    return container(vals)
+
+
+class TestLogSumExp:
+    """_logsumexp against scipy.special.logsumexp, the reference."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(lse_inputs())
+    def test_matches_scipy(self, values):
+        got = _logsumexp(values)
+        ref = float(scipy_logsumexp(np.asarray(values, dtype=float)))
+        if ref == -INF:
+            assert got == -INF
+        else:
+            # summing n shifted terms loses up to ~n ulps of the log
+            tol = 4.0 * EPS * (len(values) + abs(ref))
+            assert abs(got - ref) <= tol
+
+    @settings(deadline=None, max_examples=100)
+    @given(lse_inputs(special=st.sampled_from((INF, math.nan))))
+    def test_inf_and_nan_match_scipy(self, values):
+        got = _logsumexp(values)
+        ref = float(scipy_logsumexp(np.asarray(values, dtype=float)))
+        if math.isnan(ref):
+            assert math.isnan(got)
+        elif math.isinf(ref):
+            assert got == ref
+        else:
+            assert abs(got - ref) <= 4.0 * EPS * (len(values) + abs(ref))
+
+    @pytest.mark.parametrize("n", LSE_LENGTHS)
+    def test_edge_cases_at_every_length(self, n):
+        assert _logsumexp([-INF] * n) == -INF
+        if n == 0:
+            return
+        rng = np.random.default_rng(n)
+        base = rng.normal(size=n) * 10.0
+        for pos in {0, n - 1}:
+            for special, want in ((INF, INF), (math.nan, math.nan)):
+                vals = base.copy()
+                vals[pos] = special
+                for container in (tuple, np.array):
+                    got = _logsumexp(container(vals.tolist()))
+                    if math.isnan(want):
+                        assert math.isnan(got)
+                    else:
+                        assert got == want
+        both = base.copy()
+        both[0], both[-1] = INF, math.nan
+        assert math.isnan(_logsumexp(tuple(both.tolist())))
+        assert math.isnan(_logsumexp(both))
+        assert _logsumexp(np.full(n, 3.0)) == pytest.approx(3.0 + math.log(n),
+                                                             rel=4 * n * EPS)
