@@ -43,7 +43,8 @@ def log_integral_panels(log_f, breakpoints, nodes: int = 32) -> float:
     bps = np.asarray(breakpoints, dtype=float)
     lo = bps[:-1]
     hi = bps[1:]
-    keep = hi > lo
+    # a panel of subnormal width can have a half-width of zero
+    keep = 0.5 * (hi - lo) > 0.0
     if not np.any(keep):
         return -math.inf
     lo, hi = lo[keep], hi[keep]

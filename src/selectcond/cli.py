@@ -148,6 +148,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    if not 0.0 < args.level < 1.0:
+        raise _UsageError("--level must be in (0, 1)")
     if args.scenario == "winners":
         y = _read_numbers(args.data)
         res = win.infer_winner(win.WinnersData(y, args.sigma), args.kind, args.level)
@@ -162,6 +164,8 @@ def _cmd_infer(args) -> int:
     elif args.scenario == "location":
         if args.alpha is None:
             raise _UsageError("location inference requires --alpha (selection level)")
+        if not 0.0 < args.alpha <= 1.0:
+            raise _UsageError("--alpha must be in (0, 1]")
         y = _read_numbers(args.data)
         fam = loc.get_family(args.family)
         conf = loc.decompose(y, fam)
@@ -169,6 +173,8 @@ def _cmd_infer(args) -> int:
     else:
         if args.design is None:
             raise _UsageError("polyhedral inference requires --design")
+        if not args.threshold >= 0.0:
+            raise _UsageError("--threshold must be nonnegative for polyhedral screening")
         X = np.loadtxt(args.design, delimiter=",", ndmin=2)
         y = _read_numbers(args.data)
         if X.shape[0] != y.size:
@@ -179,7 +185,7 @@ def _cmd_infer(args) -> int:
                               "(see selectcond.polyhedral.normalize_columns)")
         s, event = poly.marginal_screening_event(X, y, args.threshold)
         if not 0 <= args.coordinate < len(s):
-            raise ValueError(f"--coordinate outside the selected set of size {len(s)}")
+            raise _UsageError(f"--coordinate outside the selected set of size {len(s)}")
         target = poly.projection_target(X, s, args.coordinate)
         ci = poly.selective_ci_linear(event, target, y, args.sigma2, args.level)
         pv = poly.selective_pvalue_linear(event, target, y, args.sigma2, 0.0, "two-sided")

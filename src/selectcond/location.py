@@ -255,6 +255,8 @@ def selective_location_inference(conf: Configuration, fam: LocationFamily,
     """
     if not 0.0 < selection_alpha <= 1.0:
         raise ValueError("selection_alpha must be in (0, 1]")
+    if not 0.0 < ci_level < 1.0:
+        raise ValueError("ci_level must be in (0, 1)")
     a = conf.residuals
     t = conf.theta_hat
     u_obs = location_pvalue(conf, fam, null_value)
@@ -289,7 +291,11 @@ def selective_location_inference(conf: Configuration, fam: LocationFamily,
         res = optimize.minimize_scalar(negloglik, bounds=(t - span, t + 10.0 * fam.scale),
                                        method="bounded", options={"xatol": 1e-10})
         estimate = float(res.x)
-        if estimate <= t - span + 1e-6 * fam.scale:
+        # a likelihood that only levels off toward -inf leaves the bounded
+        # search anywhere on its plateau: compare with the box's left end
+        left = negloglik(t - span)
+        if (estimate <= t - span + 1e-6 * fam.scale
+                or left - res.fun <= 1e-8 * max(1.0, abs(res.fun))):
             diagnostics["flags"] = ["divergent-mle"]
             estimate = -math.inf
 

@@ -14,9 +14,9 @@ from typing import Any, Callable, Optional, Union
 
 import numpy as np
 from scipy import optimize
-from scipy.integrate import quad
 from scipy.special import ndtr
 
+from ._quad import log_integral_panels
 from .distributions import std_normal_log_pdf
 
 __all__ = [
@@ -45,6 +45,9 @@ __all__ = [
 ]
 
 PHI_FLOOR = 1e-300
+_LOG_PHI_FLOOR = math.log(PHI_FLOOR)
+# quadrature panels per width of the family's integration window
+_PANELS_PER_WINDOW = 10
 
 
 class UnsupportedSelectionError(ValueError):
@@ -72,13 +75,28 @@ class UnboundedCIError(RuntimeError):
         super().__init__("unbounded CI endpoint")
 
 
+def _checked_probs(p, indicator: bool) -> np.ndarray:
+    """p as an array, after the checks every selection probability must pass."""
+    p = np.asarray(p, dtype=float)
+    if not (p.min(initial=0.0) >= 0.0 and p.max(initial=1.0) <= 1.0):
+        bad = p[~((p >= 0.0) & (p <= 1.0))].flat[0]
+        raise ValueError(f"selection probability {bad} outside [0, 1]")
+    # p (1 - p) is zero exactly where p is 0 or 1
+    if indicator and np.count_nonzero(p * (1.0 - p)):
+        raise ValueError("deterministic selection must be indicator-valued")
+    return p
+
+
 @dataclass(frozen=True)
 class SelectionFunction:
     """Map y -> p(y) in [0, 1], optionally reduced to sufficient pairs (t, a).
 
-    kind is "deterministic" (indicator-valued) or "randomized".
-    breakpoints lists discontinuity locations of p along a scalar y, used
-    to split quadrature panels.
+    kind is "deterministic" (indicator-valued) or "randomized". prob may
+    take an array of y and return an array of the same shape; a prob that
+    takes only scalars is evaluated point by point. breakpoints lists the
+    points along a scalar y where p changes fast (discontinuities, or the
+    threshold of a randomized selection): quadrature panels split there
+    and the integration window is padded around them.
     """
 
     kind: str
@@ -91,12 +109,7 @@ class SelectionFunction:
             raise ValueError(f"unknown selection kind {self.kind!r}")
 
     def __call__(self, y) -> float:
-        p = float(self.prob(y))
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"selection probability {p} outside [0, 1]")
-        if self.kind == "deterministic" and p not in (0.0, 1.0):
-            raise ValueError("deterministic selection must be indicator-valued")
-        return p
+        return float(_checked_probs(self.prob(y), self.kind == "deterministic"))
 
 
 def indicator_above(threshold: float) -> SelectionFunction:
@@ -104,7 +117,7 @@ def indicator_above(threshold: float) -> SelectionFunction:
     t = float(threshold)
     return SelectionFunction(
         kind="deterministic",
-        prob=lambda y: float(np.asarray(y) > t),
+        prob=lambda y: (np.asarray(y) > t) * 1.0,
         breakpoints=(t,),
     )
 
@@ -114,7 +127,7 @@ def indicator_two_sided(threshold: float) -> SelectionFunction:
     t = float(threshold)
     return SelectionFunction(
         kind="deterministic",
-        prob=lambda y: float(abs(np.asarray(y)) > t),
+        prob=lambda y: (np.abs(np.asarray(y)) > t) * 1.0,
         breakpoints=(-t, t),
     )
 
@@ -125,9 +138,12 @@ def randomized_above(threshold: float, noise_scale: float) -> SelectionFunction:
     g = float(noise_scale)
     if g <= 0:
         raise ValueError("noise_scale must be positive")
+    # the selected mass of a far-off theta sits between theta and t, so the
+    # window must reach t
     return SelectionFunction(
         kind="randomized",
-        prob=lambda y: float(ndtr((np.asarray(y) - t) / g)),
+        prob=lambda y: ndtr((np.asarray(y, dtype=float) - t) / g),
+        breakpoints=(t,),
     )
 
 
@@ -142,9 +158,11 @@ def randomized_selection_prob(t_stat: float, threshold: float, noise_scale: floa
 class ParametricFamily:
     """Base family {f(y; theta)} with a sampler and box parameter space.
 
-    log_density(y, theta) -> float; sampler(theta, rng, size=None) -> draw(s).
+    log_density(y, theta) -> float, or an array of the shape of y when y
+    is an array; a log_density that takes only scalars is evaluated point
+    by point. sampler(theta, rng, size=None) -> draw(s).
     integration_window(theta) bounds the region holding essentially all
-    mass, for 1-D quadrature normalizers.
+    mass; a QuadratureNormalizer needs it, and cuts it into panels.
     """
 
     log_density: Callable[[Any, np.ndarray], float]
@@ -162,7 +180,8 @@ def scalar_gaussian(sigma: float = 1.0) -> ParametricFamily:
 
     def logpdf(y, theta):
         th = float(np.atleast_1d(theta)[0])
-        return float(std_normal_log_pdf((y - th) / s)) - math.log(s)
+        out = std_normal_log_pdf((np.asarray(y, dtype=float) - th) / s) - math.log(s)
+        return out if np.ndim(out) else float(out)
 
     def sample(theta, rng, size=None):
         th = float(np.atleast_1d(theta)[0])
@@ -204,7 +223,7 @@ class ClosedFormNormalizer:
 
 @dataclass(frozen=True)
 class QuadratureNormalizer:
-    # nodes caps the adaptive subdivision count of the 1-D integrator
+    # nodes sets the Gauss-Legendre nodes per panel of the log-space quadrature
     nodes: int = 64
     label: str = "quadrature"
 
@@ -249,58 +268,76 @@ class SelectiveModel:
 
     def selection_prob_at(self, y) -> float:
         if self.conditioning == "selection-and-ancillary":
-            p = float(self.selection.reduced_prob(y, self.ancillary))
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"selection probability {p} outside [0, 1]")
-            return p
+            return float(_checked_probs(self.selection.reduced_prob(y, self.ancillary), False))
         return self.selection(y)
 
 
-def _eval_p_vector(model: SelectiveModel, ys: np.ndarray) -> np.ndarray:
+def _pointwise(fn, ys: np.ndarray) -> np.ndarray:
+    """fn at every point of ys: one call on the whole array when fn takes
+    arrays, a per-point loop when it does not."""
     try:
-        if model.conditioning == "selection-and-ancillary":
-            p = np.asarray(model.selection.reduced_prob(ys, model.ancillary), dtype=float)
-        else:
-            p = np.asarray(model.selection.prob(ys), dtype=float)
-        if p.shape != np.shape(ys):
-            raise ValueError
-        return p
+        out = np.asarray(fn(ys), dtype=float)
+        if out.shape == ys.shape:
+            return out
     except (TypeError, ValueError):
-        return np.array([model.selection_prob_at(y) for y in ys])
+        pass
+    return np.array([fn(y) for y in ys], dtype=float)
 
 
-def _window(model: SelectiveModel, theta) -> tuple:
-    if model.family.integration_window is None:
-        return (-np.inf, np.inf)
-    lo, hi = model.family.integration_window(theta)
+def _eval_p_vector(model: SelectiveModel, ys: np.ndarray) -> np.ndarray:
+    sel = model.selection
+    if model.conditioning == "selection-and-ancillary":
+        p = _pointwise(lambda y: sel.reduced_prob(y, model.ancillary), ys)
+        return _checked_probs(p, False)
+    return _checked_probs(_pointwise(sel.prob, ys), sel.kind == "deterministic")
+
+
+def _log_integrand(model: SelectiveModel, theta):
+    """ys -> log f(ys; theta) + log p(ys), one vectorised evaluation per call."""
+    def log_f(ys):
+        p = _eval_p_vector(model, ys)
+        with np.errstate(divide="ignore"):
+            log_p = np.log(p)
+        return _pointwise(lambda y: model.family.log_density(y, theta), ys) + log_p
+    return log_f
+
+
+def _panel_edges(model: SelectiveModel, theta) -> np.ndarray:
+    """Edges of the Gauss-Legendre panels that integrate f(y; theta) p(y).
+
+    Panels a tenth of the family's window wide cover that window and half
+    a window around every selection breakpoint, where the selected mass of
+    a theta far from the cut sits. Across a gap between such stretches the
+    panels double in width away from both ends, so a far-off breakpoint
+    costs a few panels, not thousands. Every breakpoint is an edge. With
+    64 nodes a panel resolves a Gaussian tail decaying at rate 37/sigma,
+    so phi keeps its relative accuracy for a cut 37 sigma above theta.
+    """
+    window = model.family.integration_window
+    if window is None:
+        raise ValueError("quadrature over y needs a family with an integration_window")
+    lo, hi = (float(v) for v in window(theta))
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"integration window ({lo}, {hi}) must be finite and nonempty")
+    span = hi - lo
+    width = span / _PANELS_PER_WINDOW
     breaks = model.selection.breakpoints
-    if breaks and math.isfinite(lo) and math.isfinite(hi):
-        # selection discontinuities can sit outside the density window; the
-        # selected mass there is tiny but must stay resolvable in ratios
-        pad = 0.5 * (hi - lo)
-        lo = min(lo, min(breaks) - pad)
-        hi = max(hi, max(breaks) + pad)
-    return (lo, hi)
-
-
-def _quad_integral(model: SelectiveModel, theta, lo: float, hi: float,
-                   limit: int) -> float:
-    """int_lo^hi f(y; theta) p(y) dy with panels split at selection breaks."""
-    def integrand(y):
-        p = model.selection_prob_at(y)
-        if p == 0.0:
-            return 0.0
-        return math.exp(model.family.log_density(y, theta)) * p
-
-    cuts = sorted(b for b in model.selection.breakpoints if lo < b < hi)
-    edges = [lo, *cuts, hi]
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        # near-zero epsabs keeps quad in relative mode so far-tail masses
-        # remain meaningful inside CDF ratios
-        val, _ = quad(integrand, a, b, epsabs=1e-300, epsrel=1e-10, limit=limit)
-        total += val
-    return total
+    stretches = sorted([(lo, hi), *((b - 0.5 * span, b + 0.5 * span) for b in breaks)])
+    merged = [list(stretches[0])]
+    for a, b in stretches[1:]:
+        if a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    parts = [np.asarray(breaks, dtype=float)]
+    for a, b in merged:
+        n = math.ceil((b - a) / width - 1e-9)
+        parts.append(a + (b - a) / n * np.arange(n + 1.0))
+    for (_, a), (b, _) in zip(merged, merged[1:]):
+        steps = width * (2.0 ** np.arange(1.0, math.log2((b - a) / width) + 1.0) - 1.0)
+        parts += [a + steps, b - steps]
+    # log_integral_panels skips the empty panels of repeated edges
+    return np.sort(np.concatenate(parts))
 
 
 def _normalizer_value(model: SelectiveModel, theta,
@@ -308,9 +345,6 @@ def _normalizer_value(model: SelectiveModel, theta,
     strat = model.normalizer
     if isinstance(strat, ClosedFormNormalizer):
         return NormalizerValue(float(strat.fn(theta)), None, strat.label)
-    if isinstance(strat, QuadratureNormalizer):
-        lo, hi = _window(model, theta)
-        return NormalizerValue(_quad_integral(model, theta, lo, hi, strat.nodes), None, strat.label)
     if isinstance(strat, MonteCarloNormalizer):
         if rng is None:
             raise ValueError("monte-carlo normalizer requires an explicit rng")
@@ -322,13 +356,24 @@ def _normalizer_value(model: SelectiveModel, theta,
     raise TypeError(f"unknown normalizer strategy {strat!r}")
 
 
+def _log_phi(model: SelectiveModel, theta,
+             rng: Optional[np.random.Generator] = None) -> float:
+    """log phi(theta); UnsupportedSelectionError when phi < PHI_FLOOR."""
+    if isinstance(model.normalizer, QuadratureNormalizer):
+        log_phi = log_integral_panels(_log_integrand(model, theta),
+                                      _panel_edges(model, theta), model.normalizer.nodes)
+    else:
+        value = _normalizer_value(model, theta, rng).value
+        log_phi = math.log(value) if value > 0.0 else -math.inf
+    if log_phi < _LOG_PHI_FLOOR:
+        raise UnsupportedSelectionError("unsupported selection")
+    return log_phi
+
+
 def selection_probability(model: SelectiveModel, theta,
                           rng: Optional[np.random.Generator] = None) -> float:
     """phi(theta) = E_theta[p(Y)], or phi(theta; a) under ancillary conditioning."""
-    nv = _normalizer_value(model, theta, rng)
-    if nv.value < PHI_FLOOR:
-        raise UnsupportedSelectionError("unsupported selection")
-    return nv.value
+    return math.exp(_log_phi(model, theta, rng))
 
 
 def selective_log_density(model: SelectiveModel, y, theta,
@@ -337,28 +382,31 @@ def selective_log_density(model: SelectiveModel, y, theta,
     p = model.selection_prob_at(y)
     if p <= 0.0:
         raise DatumNotSelectedError("datum inconsistent with selection event")
-    phi = selection_probability(model, theta, rng)
-    return model.family.log_density(y, theta) + math.log(p) - math.log(phi)
+    log_phi = _log_phi(model, theta, rng)
+    return model.family.log_density(y, theta) + math.log(p) - log_phi
 
 
 def selective_cdf(model: SelectiveModel, y: float, theta,
                   rng: Optional[np.random.Generator] = None) -> float:
-    """Selective CDF at scalar y: P_theta(Y <= y | selected). Quadrature-based."""
+    """Selective CDF at scalar y: P_theta(Y <= y | selected). Quadrature-based.
+
+    The panels are split at y: the numerator integrates those below it,
+    and, unless the normalizer is closed-form, the denominator adds those
+    above it.
+    """
+    edges = _panel_edges(model, theta)
+    cut = min(max(float(y), edges[0]), edges[-1])
+    log_f = _log_integrand(model, theta)
+    nodes = getattr(model.normalizer, "nodes", QuadratureNormalizer.nodes)
+    log_num = log_integral_panels(log_f, np.append(edges[edges < cut], cut), nodes)
     if isinstance(model.normalizer, ClosedFormNormalizer):
-        denom = float(model.normalizer.fn(theta))
-        limit = 200
+        log_den = _log_phi(model, theta)
     else:
-        lo_d, hi_d = _window(model, theta)
-        limit = getattr(model.normalizer, "nodes", 200)
-        denom = _quad_integral(model, theta, lo_d, hi_d, limit)
-    if denom < PHI_FLOOR:
+        log_up = log_integral_panels(log_f, np.insert(edges[edges > cut], 0, cut), nodes)
+        log_den = float(np.logaddexp(log_num, log_up))
+    if log_den < _LOG_PHI_FLOOR:
         raise UnsupportedSelectionError("unsupported selection")
-    lo, hi = _window(model, theta)
-    y = float(y)
-    if y <= lo:
-        return 0.0
-    num = _quad_integral(model, theta, lo, min(y, hi), limit)
-    return min(1.0, num / denom)
+    return math.exp(min(log_num - log_den, 0.0))
 
 
 def _as_param_array(theta, n_params: int) -> np.ndarray:
@@ -398,10 +446,10 @@ def selective_mle(model: SelectiveModel, y, x0=None, seed: int = 0,
 
     def negloglik(th):
         try:
-            phi = selection_probability(model, th, rng)
+            log_phi = _log_phi(model, th, rng)
         except UnsupportedSelectionError:
             return 1e30
-        val = model.family.log_density(y, th) + log_p_obs - math.log(phi)
+        val = model.family.log_density(y, th) + log_p_obs - log_phi
         if not math.isfinite(val):
             return 1e30
         return -val

@@ -303,6 +303,8 @@ def _unconditional_mle(data: TwoStageData, prior: SampleSizePrior) -> float:
 
 def _invert_sum_cdf(cdf, s_obs: float, data: TwoStageData, level: float,
                     center: float):
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be in (0, 1)")
     alpha = 1.0 - level
     scale = 1.0 / math.sqrt(data.n)
     limit = 50.0 + abs(center)

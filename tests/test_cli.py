@@ -169,6 +169,26 @@ class TestInfer:
         assert code == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["winners", "--data", "{y3}", "--level", "1.5"],
+        ["two-stage", "--data", "{y3}", "--n1", "2", "--level", "0"],
+        ["location", "--data", "{y5}", "--alpha", "1.5"],
+        ["location", "--data", "{y5}", "--alpha", "0.5", "--level", "1.2"],
+        ["polyhedral", "--design", "{X}", "--data", "{y3}", "--threshold", "-1"],
+        ["polyhedral", "--design", "{X}", "--data", "{y3}", "--threshold", "1.0",
+         "--coordinate", "1"],
+    ], ids=["level", "two-stage-level", "location-alpha", "location-level",
+            "polyhedral-threshold", "polyhedral-coordinate"])
+    def test_bad_flag_exits_one(self, tmp_path, capsys, argv):
+        paths = {"y3": tmp_path / "y3.csv", "y5": tmp_path / "y5.csv",
+                 "X": tmp_path / "X.csv"}
+        paths["y3"].write_text("2.0,0.5,1.0")
+        paths["y5"].write_text("2.1 1.4 2.8 0.9 1.7")
+        paths["X"].write_text("1,0\n0,1\n0,0")
+        argv = [a.format(**paths) for a in argv]
+        assert main(["infer", *argv]) == 1
+        assert "usage error" in capsys.readouterr().err
+
     def test_empty_data_numeric_failure(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"
         data.write_text("")

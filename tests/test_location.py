@@ -242,3 +242,22 @@ class TestSelectiveInference:
                 lambda t: c * math.exp(float(np.sum(fam.log_g(t + conf.residuals)))),
                 -30 * fam.scale, 30 * fam.scale, limit=300)
             assert total == pytest.approx(1.0, abs=1e-8)
+
+
+class TestFlatLikelihood:
+    # logistic sample (replication 3 of location-coverage at seed 101):
+    # the selective likelihood only levels off as theta -> -inf
+    PLATEAU_Y = np.array([0.6143575891355113, 1.0259675910715238, 1.211950444210925,
+                          -0.3587490546104912, 2.9102893176781084])
+
+    def test_plateau_is_divergent(self):
+        conf = decompose(self.PLATEAU_Y, LOGISTIC)
+        res = selective_location_inference(conf, LOGISTIC, 0.1, 0.9)
+        assert res.estimate == -math.inf
+        assert "divergent-mle" in res.diagnostics["flags"]
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.2])
+    def test_rejects_level_outside_unit_interval(self, level):
+        conf = decompose(np.array([2.1, 1.4, 2.8, 0.9, 1.7]), GAUSS)
+        with pytest.raises(ValueError):
+            selective_location_inference(conf, GAUSS, 0.5, level)

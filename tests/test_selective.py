@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
+from selectcond.distributions import TruncatedGaussian, std_normal_log_pdf, truncated_cdf
 from selectcond.selective import (
     ClosedFormNormalizer,
     DatumNotSelectedError,
@@ -16,6 +18,7 @@ from selectcond.selective import (
     UnsupportedSelectionError,
     gaussian_iid,
     indicator_above,
+    invert_equal_tailed,
     indicator_two_sided,
     randomized_above,
     randomized_selection_prob,
@@ -265,3 +268,87 @@ class TestValidation:
         with pytest.raises(ValueError):
             SelectiveModel(scalar_gaussian(), always_selected(),
                            conditioning="selection-and-ancillary")
+
+
+class TestQuadratureNormalizer:
+    """The log-space panel normalizer against closed forms for N(theta, 1)."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.floats(-5.0, 30.0), st.floats(-12.0, 37.0))
+    def test_indicator_phi_relative_accuracy(self, c, depth):
+        theta = c - depth
+        m = SelectiveModel(scalar_gaussian(), indicator_above(c))
+        want = math.exp(log_ndtr(theta - c))
+        assert selection_probability(m, theta) == pytest.approx(want, rel=1e-10)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.floats(-5.0, 30.0), st.floats(-12.0, 37.0), st.floats(0.0, 8.0))
+    def test_cdf_matches_truncated_gaussian(self, c, depth, above):
+        theta = c - depth
+        y = c + above
+        m = SelectiveModel(scalar_gaussian(), indicator_above(c))
+        want = truncated_cdf(y, TruncatedGaussian(theta, 1.0, ((c, math.inf),)))
+        assert selective_cdf(m, y, theta) == pytest.approx(want, abs=1e-10)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.floats(-2.0, 30.0), st.floats(0.2, 3.0), st.sampled_from([0.8, 0.9, 0.95]))
+    def test_ci_matches_truncated_gaussian(self, c, above, level):
+        y = c + above
+        m = SelectiveModel(scalar_gaussian(), indicator_above(c))
+
+        def tg_cdf(theta):
+            return truncated_cdf(y, TruncatedGaussian(theta, 1.0, ((c, math.inf),)))
+
+        want = invert_equal_tailed(tg_cdf, level, y)
+        got = selective_ci(m, y, level)
+        assert got == pytest.approx(want, abs=1e-7)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.floats(-3.0, 3.0), st.floats(-30.0, 10.0))
+    def test_randomized_phi_relative_accuracy(self, t, offset):
+        # p(y) = Phi(y - t): E[p(Y)] = Phi((theta - t) / sqrt(2))
+        theta = t + offset
+        m = SelectiveModel(scalar_gaussian(), randomized_above(t, 1.0))
+        want = math.exp(log_ndtr(offset / math.sqrt(2.0)))
+        assert selection_probability(m, theta) == pytest.approx(want, rel=1e-10)
+
+    def test_scalar_only_family_uses_fallback(self):
+        def log_density(y, theta):
+            return float(std_normal_log_pdf(float(y) - float(np.atleast_1d(theta)[0])))
+
+        fam = ParametricFamily(log_density, scalar_gaussian().sampler,
+                               integration_window=scalar_gaussian().integration_window)
+        m = SelectiveModel(fam, indicator_above(1.0))
+        ref = SelectiveModel(scalar_gaussian(), indicator_above(1.0))
+        for theta in (-3.0, 0.5, 2.0):
+            assert selection_probability(m, theta) == pytest.approx(
+                selection_probability(ref, theta), rel=1e-13)
+        assert selective_cdf(m, 1.7, 0.5) == pytest.approx(selective_cdf(ref, 1.7, 0.5),
+                                                           abs=1e-13)
+
+    def test_scalar_only_selection_uses_fallback(self):
+        sel = SelectionFunction("deterministic", lambda y: 1.0 if y > 1.0 else 0.0,
+                                breakpoints=(1.0,))
+        m = SelectiveModel(scalar_gaussian(), sel)
+        ref = SelectiveModel(scalar_gaussian(), indicator_above(1.0))
+        for theta in (-3.0, 0.5, 2.0):
+            assert selection_probability(m, theta) == pytest.approx(
+                selection_probability(ref, theta), rel=1e-13)
+
+    @pytest.mark.parametrize("kind, prob", [
+        ("deterministic", lambda y: np.full(np.shape(y), 0.7)),
+        ("deterministic", lambda y: 0.7),
+        ("randomized", lambda y: np.full(np.shape(y), 1.2)),
+        ("randomized", lambda y: np.where(np.asarray(y) > 0.0, np.nan, 0.5)),
+    ], ids=["indicator-vector", "indicator-scalar", "range-vector", "nan-vector"])
+    def test_invalid_probabilities_raise(self, kind, prob):
+        m = SelectiveModel(scalar_gaussian(), SelectionFunction(kind, prob))
+        with pytest.raises(ValueError):
+            selection_probability(m, 0.0)
+        with pytest.raises(ValueError):
+            selective_cdf(m, 0.3, 0.0)
+
+    def test_family_without_window_rejected(self):
+        m = SelectiveModel(gaussian_iid(3), always_selected())
+        with pytest.raises(ValueError, match="integration_window"):
+            selection_probability(m, 0.0)

@@ -13,6 +13,7 @@ from selectcond.two_stage import (
     file_drawer_loglik,
     file_drawer_mle,
     infer_conditional,
+    infer_unconditional,
     sample_size_pmf_given_selection,
     unconditional_loglik,
     _unconditional_mle,
@@ -227,3 +228,12 @@ class TestUnconditionalMle:
         vals = np.array([unconditional_loglik(data, prior, t) for t in grid])
         oracle = float(grid[np.argmax(vals)])
         assert _unconditional_mle(data, prior) == pytest.approx(oracle, abs=2e-4)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5])
+def test_infer_rejects_level_outside_unit_interval(level):
+    data = make_selected(0.5, 6, 4, 3)
+    with pytest.raises(ValueError):
+        infer_conditional(data, level)
+    with pytest.raises(ValueError):
+        infer_unconditional(data, SampleSizePrior.point_mass(6), level)
