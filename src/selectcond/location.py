@@ -19,8 +19,9 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 
 from ._quad import log_integral_panels
+from .distributions import std_normal_log_pdf
 from .results import InferenceResult
-from .selective import invert_equal_tailed
+from .selective import invert_equal_tailed, solve_monotone
 
 __all__ = [
     "LocationFamily",
@@ -52,11 +53,6 @@ class LocationFamily:
     kinks: tuple = ()
 
 
-def _gaussian_log_g(x):
-    x = np.asarray(x, dtype=float)
-    return -0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
-
-
 def _laplace_log_g(x):
     x = np.asarray(x, dtype=float)
     return -np.abs(x) - math.log(2.0)
@@ -82,7 +78,7 @@ def register_family(family: LocationFamily, tol: float = 1e-8) -> LocationFamily
 
 
 register_family(LocationFamily(
-    "gaussian", _gaussian_log_g, 1.0,
+    "gaussian", std_normal_log_pdf, 1.0,
     lambda rng, size: rng.standard_normal(size),
 ))
 register_family(LocationFamily(
@@ -147,18 +143,10 @@ def decompose(y, fam: LocationFamily, validate: bool = True) -> Configuration:
     pad = 2.0 * fam.scale
     res = optimize.minimize_scalar(neg, bounds=(float(y.min()) - pad, float(y.max()) + pad),
                                    method="bounded", options={"xatol": 1e-10})
-    theta_hat = float(res.x)
-
     h = 1e-6 * fam.scale
-    delta = 4.0 * h
-    lo, hi = theta_hat - delta, theta_hat + delta
-    for _ in range(60):
-        if _fd_score(lo, y, fam, h) > 0.0 > _fd_score(hi, y, fam, h):
-            theta_hat = float(optimize.brentq(_fd_score, lo, hi, args=(y, fam, h),
-                                              xtol=1e-13, rtol=1e-15))
-            break
-        delta *= 2.0
-        lo, hi = theta_hat - delta, theta_hat + delta
+    root = solve_monotone(lambda th: _fd_score(th, y, fam, h), float(res.x), 4.0 * h,
+                          float(np.abs(y).max()) + pad, 1e-13, 1e-15)
+    theta_hat = root if math.isfinite(root) else float(res.x)
 
     a = y - theta_hat
     if validate:
@@ -228,18 +216,11 @@ def _selection_cutoff(alpha: float, residuals: np.ndarray, fam: LocationFamily) 
     def h(t):
         return _log_tail_mass(t, residuals, fam) - log_target
 
-    n = residuals.size
-    guess = fam.scale * float(ndtri(1.0 - alpha)) / math.sqrt(n)
-    lo, hi = guess - fam.scale, guess + fam.scale
-    while h(lo) <= 0:
-        lo -= 2.0 * fam.scale
-        if lo < -50.0 * fam.scale:
-            raise RuntimeError("selection cutoff bracket failed low")
-    while h(hi) >= 0:
-        hi += 2.0 * fam.scale
-        if hi > 50.0 * fam.scale:
-            raise RuntimeError("selection cutoff bracket failed high")
-    return float(optimize.brentq(h, lo, hi, xtol=1e-12, rtol=1e-15))
+    guess = fam.scale * float(ndtri(1.0 - alpha)) / math.sqrt(residuals.size)
+    cutoff = solve_monotone(h, guess, fam.scale, 50.0 * fam.scale, 1e-12, 1e-15)
+    if math.isinf(cutoff):
+        raise RuntimeError(f"selection cutoff beyond |t| = 50 scale, toward {cutoff}")
+    return cutoff
 
 
 def selective_location_inference(conf: Configuration, fam: LocationFamily,

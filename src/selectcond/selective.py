@@ -67,11 +67,11 @@ class DivergentMLEError(RuntimeError):
 
 
 class UnboundedCIError(RuntimeError):
-    """A CI endpoint could not be bracketed inside the search box."""
+    """A CI endpoint could not be bracketed inside the search box; endpoint
+    is -inf or +inf, the side on which it lies beyond the box."""
 
-    def __init__(self, endpoint: float, partial: tuple):
+    def __init__(self, endpoint: float):
         self.endpoint = endpoint
-        self.partial = partial
         super().__init__("unbounded CI endpoint")
 
 
@@ -491,64 +491,59 @@ def selective_mle(model: SelectiveModel, y, x0=None, seed: int = 0,
     return xhat if n_params > 1 else float(xhat[0])
 
 
-def _expand_bracket(g, center: float, step: float, limit: float):
-    """Find (a, b) with g(a) > 0 > g(b), expanding geometrically from center."""
-    a = b = center
-    ga = gb = g(center)
-    width = step
-    while ga <= 0.0:
-        a = center - width
-        if abs(a) > limit:
-            return None, (b, gb)
-        ga = g(a)
+def solve_monotone(g, center: float, step: float, limit: float,
+                   xtol: float, rtol: float) -> float:
+    """Root of g, a function decreasing in x, to brentq's xtol and rtol.
+
+    The bracket starts at center and doubles its width from step, leftward
+    while g <= 0 and rightward while g > 0; one brentq call then solves
+    inside it. A bracket leaving |x| <= limit gives -inf or +inf, the side
+    on which the root lies beyond the box.
+    """
+    x, gx, width = center, g(center), step
+    right = gx > 0.0
+    while (gx > 0.0) if right else (gx <= 0.0):
+        x = center + width if right else center - width
+        if abs(x) > limit:
+            return math.inf if right else -math.inf
+        gx = g(x)
         width *= 2.0
-    width = step
-    while gb > 0.0:
-        b = center + width
-        if abs(b) > limit:
-            return (a, ga), None
-        gb = g(b)
-        width *= 2.0
-    return (a, ga), (b, gb)
+    return float(optimize.brentq(g, min(x, center), max(x, center), xtol=xtol, rtol=rtol))
 
 
 def invert_monotone_cdf(cdf_in_theta, observed_level: float, center: float,
                         step: float = 1.0, limit: float = 50.0,
                         xtol: float = 1e-8) -> float:
-    """Solve cdf(theta) = observed_level for a CDF decreasing in theta."""
-    def g(th):
-        return cdf_in_theta(th) - observed_level
-
-    left, right = _expand_bracket(g, center, step, limit)
-    if left is None:
-        raise UnboundedCIError(-math.inf, (None, right))
-    if right is None:
-        raise UnboundedCIError(math.inf, (left, None))
-    return float(optimize.brentq(g, left[0], right[0], xtol=xtol, rtol=1e-14))
+    """Solve cdf(theta) = observed_level for a CDF decreasing in theta;
+    UnboundedCIError when the solution lies outside |theta| <= limit."""
+    root = solve_monotone(lambda th: cdf_in_theta(th) - observed_level,
+                          center, step, limit, xtol, 1e-14)
+    if math.isinf(root):
+        raise UnboundedCIError(root)
+    return root
 
 
 def invert_equal_tailed(cdf_in_theta, level: float, center: float,
                         step: float = 1.0, limit: float = 50.0,
                         diagnostics: Optional[dict] = None) -> tuple:
     """Equal-tailed interval endpoints, recording rather than raising when an
-    endpoint escapes the search box (heavy-tailed families genuinely produce
-    half-infinite selective intervals)."""
+    endpoint escapes the search box: it becomes -inf or +inf on the side it
+    escaped to, flagged unbounded-ci-lower or unbounded-ci-upper.
+    Heavy-tailed families genuinely produce half-infinite selective
+    intervals. A CDF on one side of both levels over the whole box puts
+    the accepted set beyond the box: (-inf, -inf) or (inf, inf), which
+    covers no theta inside it."""
     alpha = 1.0 - level
-    try:
-        lo = invert_monotone_cdf(cdf_in_theta, 1.0 - alpha / 2.0, center,
-                                 step=step, limit=limit)
-    except UnboundedCIError:
-        if diagnostics is not None:
-            diagnostics.setdefault("flags", []).append("unbounded-ci-lower")
-        lo = -math.inf
-    try:
-        hi = invert_monotone_cdf(cdf_in_theta, alpha / 2.0, center,
-                                 step=step, limit=limit)
-    except UnboundedCIError:
-        if diagnostics is not None:
-            diagnostics.setdefault("flags", []).append("unbounded-ci-upper")
-        hi = math.inf
-    return (lo, hi)
+    ends = []
+    for side, observed_level in (("lower", 1.0 - alpha / 2.0), ("upper", alpha / 2.0)):
+        try:
+            ends.append(invert_monotone_cdf(cdf_in_theta, observed_level, center,
+                                            step=step, limit=limit))
+        except UnboundedCIError as exc:
+            if diagnostics is not None:
+                diagnostics.setdefault("flags", []).append(f"unbounded-ci-{side}")
+            ends.append(exc.endpoint)
+    return tuple(ends)
 
 
 def selective_ci(model: SelectiveModel, y: float, level: float = 0.95,
@@ -557,11 +552,12 @@ def selective_ci(model: SelectiveModel, y: float, level: float = 0.95,
     """Equal-tailed CI for a scalar parameter by inversion of the selective CDF.
 
     Valid for scalar targets with a selective CDF monotone (decreasing) in
-    the parameter, which covers every 1-D Gaussian-derived model here.
+    the parameter, which covers every 1-D Gaussian-derived model here. An
+    endpoint beyond |theta| = theta_limit is reported as -inf or +inf, as
+    in invert_equal_tailed.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    alpha = 1.0 - level
 
     def cdf(th):
         try:
@@ -571,7 +567,4 @@ def selective_ci(model: SelectiveModel, y: float, level: float = 0.95,
             # degenerates toward the near edge of the selection region
             return 1.0 if float(np.atleast_1d(th)[0]) < y else 0.0
 
-    center = float(y)
-    lo = invert_monotone_cdf(cdf, 1.0 - alpha / 2.0, center, limit=theta_limit)
-    hi = invert_monotone_cdf(cdf, alpha / 2.0, center, limit=theta_limit)
-    return (lo, hi)
+    return invert_equal_tailed(cdf, level, float(y), limit=theta_limit)

@@ -19,7 +19,7 @@ from scipy.special import log_ndtr, ndtr
 from ._quad import log_integral_panels
 from .distributions import _log_interval_mass, _logsumexp, std_normal_log_pdf
 from .results import InferenceResult
-from .selective import invert_monotone_cdf
+from .selective import invert_equal_tailed, solve_monotone
 
 __all__ = [
     "TwoStageData",
@@ -255,15 +255,11 @@ def _conditional_score(theta: float, data: TwoStageData) -> float:
 
 def _conditional_mle(data: TwoStageData) -> float:
     raw = data.total_sum / data.n
-    lo, hi = raw - 1.0, raw + 1.0
-    while _conditional_score(lo, data) <= 0:
-        lo -= 2.0 * (raw - lo) + 1.0
-        if raw - lo > 1e4:
-            raise RuntimeError("conditional MLE bracket failed")
-    while _conditional_score(hi, data) >= 0:
-        hi += 2.0 * (hi - raw) + 1.0
-    return float(optimize.brentq(_conditional_score, lo, hi, args=(data,),
-                                 xtol=1e-10, rtol=1e-15))
+    est = solve_monotone(lambda th: _conditional_score(th, data), raw, 1.0,
+                         abs(raw) + 1e4, 1e-10, 1e-15)
+    if math.isinf(est):
+        raise RuntimeError("conditional MLE bracket failed")
+    return est
 
 
 def _unconditional_score(theta: float, data: TwoStageData,
@@ -291,26 +287,17 @@ def _unconditional_mle(data: TwoStageData, prior: SampleSizePrior) -> float:
                                    method="bounded", options={"xatol": 1e-8})
     theta = float(res.x)
     # polish on the analytic score; bounded minimization stalls near sqrt(eps)
-    delta = 1e-6
-    for _ in range(40):
-        lo, hi = theta - delta, theta + delta
-        if _unconditional_score(lo, data, prior) > 0.0 > _unconditional_score(hi, data, prior):
-            return float(optimize.brentq(_unconditional_score, lo, hi,
-                                         args=(data, prior), xtol=1e-12, rtol=1e-15))
-        delta *= 2.0
-    return theta
+    polished = solve_monotone(lambda th: _unconditional_score(th, data, prior), theta,
+                              1e-6, abs(raw) + span + 3.0, 1e-12, 1e-15)
+    return polished if math.isfinite(polished) else theta
 
 
-def _invert_sum_cdf(cdf, s_obs: float, data: TwoStageData, level: float,
-                    center: float):
+def _invert_sum_cdf(cdf, data: TwoStageData, level: float, center: float,
+                    diagnostics: dict) -> tuple:
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    alpha = 1.0 - level
-    scale = 1.0 / math.sqrt(data.n)
-    limit = 50.0 + abs(center)
-    lo = invert_monotone_cdf(cdf, 1.0 - alpha / 2.0, center, step=scale, limit=limit)
-    hi = invert_monotone_cdf(cdf, alpha / 2.0, center, step=scale, limit=limit)
-    return lo, hi
+    return invert_equal_tailed(cdf, level, center, step=1.0 / math.sqrt(data.n),
+                               limit=50.0 + abs(center), diagnostics=diagnostics)
 
 
 @dataclass
@@ -328,10 +315,10 @@ def infer_conditional(data: TwoStageData, level: float = 0.9) -> InferenceResult
     def cdf(theta):
         return _conditional_sum_cdf(s, data.n1, data.n2, theta, data.threshold)
 
-    lo, hi = _invert_sum_cdf(cdf, s, data, level, est)
+    diagnostics = {"denominator": "selection prob at observed n1"}
+    ci = _invert_sum_cdf(cdf, data, level, est, diagnostics)
     pvalue = 1.0 - cdf(0.0)
-    return InferenceResult(est, (lo, hi), pvalue, "two-stage-conditional",
-                           {"denominator": "selection prob at observed n1"})
+    return InferenceResult(est, ci, pvalue, "two-stage-conditional", diagnostics)
 
 
 def infer_unconditional(data: TwoStageData, prior: SampleSizePrior,
@@ -342,10 +329,10 @@ def infer_unconditional(data: TwoStageData, prior: SampleSizePrior,
     def cdf(theta):
         return _unconditional_sum_cdf(s, prior, data.n2, theta, data.threshold)
 
-    lo, hi = _invert_sum_cdf(cdf, s, data, level, est)
+    diagnostics = {"denominator": "selection prob mixed over prior"}
+    ci = _invert_sum_cdf(cdf, data, level, est, diagnostics)
     pvalue = 1.0 - cdf(0.0)
-    return InferenceResult(est, (lo, hi), pvalue, "two-stage-unconditional",
-                           {"denominator": "selection prob mixed over prior"})
+    return InferenceResult(est, ci, pvalue, "two-stage-unconditional", diagnostics)
 
 
 def compare_two_stage_inference(data: TwoStageData, prior: SampleSizePrior,

@@ -21,7 +21,7 @@ from scipy.special import log_ndtr
 from ._quad import _leggauss, log_integral_gl
 from .distributions import _logsumexp, std_normal_log_pdf, std_normal_quantile
 from .results import InferenceResult
-from .selective import invert_equal_tailed
+from .selective import invert_equal_tailed, solve_monotone
 
 __all__ = [
     "WinnersData",
@@ -162,36 +162,27 @@ def _conditional_score(theta: float, t: float, c: float, sigma: float) -> float:
 
 
 def _conditional_mle(t: float, c: float, sigma: float) -> float:
-    # score is decreasing in theta (1-parameter exponential family)
-    lo, hi = t - sigma, t + sigma
-    while _conditional_score(lo, t, c, sigma) <= 0.0:
-        lo -= 2.0 * (t - lo) + sigma
-        if t - lo > 1e4 * sigma:
-            return -math.inf
-    while _conditional_score(hi, t, c, sigma) >= 0.0:
-        hi += 2.0 * (hi - t) + sigma
-    return float(optimize.brentq(_conditional_score, lo, hi, args=(t, c, sigma),
-                                 xtol=1e-10, rtol=1e-15))
+    # score is decreasing in theta (1-parameter exponential family); it is
+    # negative at t, so the root lies left of it, or at -inf
+    return solve_monotone(lambda th: _conditional_score(th, t, c, sigma), t, sigma,
+                          abs(t) + 1e4 * sigma, 1e-10, 1e-15)
 
 
 def _infer_conditional(t: float, c: float, sigma: float, level: float) -> InferenceResult:
-    alpha = 1.0 - level
     diagnostics = {"normalizer": "truncated-gaussian closed form"}
     pvalue = _conditional_sf(t, c, sigma, 0.0)
-    if t - c <= _BOUNDARY_TOL * max(1.0, abs(c)):
-        diagnostics["flags"] = ["divergent-mle"]
-        _, hi = invert_equal_tailed(lambda th: _conditional_cdf(t, c, sigma, th),
-                                    level, t, step=sigma,
-                                    limit=50.0 * max(1.0, sigma) + abs(t),
-                                    diagnostics=diagnostics)
-        return InferenceResult(-math.inf, (-math.inf, hi), pvalue,
-                               WinnersModelKind.CONDITIONAL_ON_LOSERS.value, diagnostics)
-    estimate = _conditional_mle(t, c, sigma)
-    limit = 50.0 * max(1.0, sigma) + abs(t)
 
     def cdf(th):
         return _conditional_cdf(t, c, sigma, th)
 
+    limit = 50.0 * max(1.0, sigma) + abs(t)
+    if t - c <= _BOUNDARY_TOL * max(1.0, abs(c)):
+        diagnostics["flags"] = ["divergent-mle"]
+        _, hi = invert_equal_tailed(cdf, level, t, step=sigma, limit=limit,
+                                    diagnostics=diagnostics)
+        return InferenceResult(-math.inf, (-math.inf, hi), pvalue,
+                               WinnersModelKind.CONDITIONAL_ON_LOSERS.value, diagnostics)
+    estimate = _conditional_mle(t, c, sigma)
     ci = invert_equal_tailed(cdf, level, t, step=sigma, limit=limit,
                              diagnostics=diagnostics)
     return InferenceResult(estimate, ci, pvalue,

@@ -1,5 +1,7 @@
 """Tests for conditional inference in location families."""
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
 from selectcond.distributions import TruncatedGaussian, truncated_cdf
-from selectcond.harness.scenarios import ks_uniform
+from selectcond.harness.scenarios import ks_uniform, run_replication
 from selectcond.location import (
     Configuration,
     LocationFamily,
@@ -261,3 +263,18 @@ class TestFlatLikelihood:
         conf = decompose(np.array([2.1, 1.4, 2.8, 0.9, 1.7]), GAUSS)
         with pytest.raises(ValueError):
             selective_location_inference(conf, GAUSS, 0.5, level)
+
+
+class TestEmptyInterval:
+    def test_empty_set_is_not_covered(self):
+        # replication 81 of the canonical logistic study: the selective CDF
+        # stays below alpha/2 for every theta in the box, so every accepted
+        # theta lies below it and the interval covers nothing inside it
+        config = Path(__file__).resolve().parents[1] / "scripts" / "configs" / \
+            "location_coverage_logistic.json"
+        params = json.loads(config.read_text())["params"]
+        (row,) = run_replication("location-coverage", params, 20260808, 81)
+        assert row["lo"] == row["hi"] == -math.inf
+        assert row["covered"] == 0.0
+        assert math.isnan(row["length"])
+        assert "unbounded-ci-upper" in row["flags"]

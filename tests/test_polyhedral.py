@@ -210,6 +210,22 @@ class TestSelectiveCi:
         assert hi == pytest.approx(hi_oracle, abs=1e-3)
 
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.floats(-3.0, 3.0), st.floats(0.0, 1.0), st.floats(0.1, 6.0),
+           st.floats(0.2, 3.0),
+           st.lists(st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99]), min_size=2, max_size=2,
+                    unique=True))
+    def test_ci_nests_in_level(self, a, frac, width, sigma2, levels):
+        # y_1 truncated to [a, a + width]; both endpoints may leave the box
+        narrow, wide = sorted(levels)
+        poly = Polyhedron([[-1.0, 0.0], [1.0, 0.0]], [-a, a + width])
+        tgt = LinearTarget([1.0, 0.0])
+        y = np.array([a + frac * width, 0.3])
+        lo1, hi1 = selective_ci_linear(poly, tgt, y, sigma2, narrow)
+        lo2, hi2 = selective_ci_linear(poly, tgt, y, sigma2, wide)
+        assert lo2 <= lo1 <= hi1 <= hi2
+
+
 class TestMarginalScreening:
     def test_zero_threshold_selects_all(self):
         rng = np.random.default_rng(5)

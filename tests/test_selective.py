@@ -28,6 +28,7 @@ from selectcond.selective import (
     selective_ci,
     selective_log_density,
     selective_mle,
+    solve_monotone,
 )
 
 PHI_MINUS_1_OVER_SQRT2 = 0.23975006109347674  # Phi(-1/sqrt(2)), convolution oracle
@@ -165,6 +166,54 @@ class TestSelectiveCi:
         lo, hi = selective_ci(m, 2.0, level=0.9)
         assert lo == pytest.approx(lo_oracle, abs=1e-4)
         assert hi == pytest.approx(hi_oracle, abs=1e-4)
+
+    def test_endpoint_beyond_theta_limit_is_infinite(self):
+        # the lower endpoint lies below theta = -50, outside the search box
+        y, c, level = 0.0625, 0.0, 0.8
+
+        def tg_cdf(theta):
+            return truncated_cdf(y, TruncatedGaussian(theta, 1.0, ((c, math.inf),)))
+
+        lo, hi = selective_ci(SelectiveModel(scalar_gaussian(), indicator_above(c)), y, level)
+        assert lo == -math.inf
+        assert hi == pytest.approx(invert_equal_tailed(tg_cdf, level, y)[1], abs=1e-7)
+        assert hi == pytest.approx(-1.16656, abs=1e-5)
+
+
+class TestSolveMonotone:
+    XTOL, RTOL, LIMIT = 1e-10, 1e-15, 100.0
+
+    # |center| + max(step, 2 |root - center|) stays below LIMIT, so the
+    # doubling bracket reaches the root inside the box
+    @settings(deadline=None, max_examples=200)
+    @given(st.floats(-40.0, 40.0), st.floats(-5.0, 5.0), st.floats(1e-3, 10.0),
+           st.sampled_from(["linear", "tanh"]))
+    def test_finds_root_inside_box(self, root, center, step, shape):
+        g = (lambda x: root - x) if shape == "linear" else (lambda x: math.tanh(root - x))
+        got = solve_monotone(g, center, step, self.LIMIT, self.XTOL, self.RTOL)
+        assert abs(got - root) <= self.XTOL + self.RTOL * abs(root)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.floats(LIMIT, 1e6, exclude_min=True),
+           st.sampled_from([-1.0, 1.0]), st.floats(-5.0, 5.0), st.floats(1e-3, 10.0),
+           st.sampled_from(["linear", "tanh"]))
+    def test_root_outside_box_is_infinite_on_its_side(self, dist, sign, center, step, shape):
+        root = sign * dist
+        g = (lambda x: root - x) if shape == "linear" else (lambda x: math.tanh(root - x))
+        got = solve_monotone(g, center, step, self.LIMIT, self.XTOL, self.RTOL)
+        assert got == sign * math.inf
+
+
+class TestInvertEqualTailed:
+    @pytest.mark.parametrize("cdf_value, end", [(0.001, -math.inf), (0.999, math.inf)])
+    def test_empty_set_keeps_its_side(self, cdf_value, end):
+        # a CDF below (above) both levels over the whole box puts both
+        # endpoints past its left (right) edge: no theta in the box is
+        # accepted, and the interval must not read as the whole line
+        diagnostics = {}
+        ci = invert_equal_tailed(lambda th: cdf_value, 0.9, 0.0, diagnostics=diagnostics)
+        assert ci == (end, end)
+        assert diagnostics["flags"] == ["unbounded-ci-lower", "unbounded-ci-upper"]
 
 
 class TestRandomizedSelectionProb:

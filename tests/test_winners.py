@@ -140,6 +140,18 @@ class TestInferWinnerConditional:
         assert abs(hit / n - 0.9) < 0.03
 
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.floats(-5.0, 5.0), st.floats(1e-3, 6.0), st.floats(0.3, 3.0),
+           st.lists(st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99]), min_size=2, max_size=2,
+                    unique=True))
+    def test_ci_nests_in_level(self, t, gap, sigma, levels):
+        narrow, wide = sorted(levels)
+        data = WinnersData(np.array([t, t - gap, t - gap - 1.0]), sigma)
+        lo1, hi1 = infer_winner(data, WinnersModelKind.CONDITIONAL_ON_LOSERS, narrow).ci
+        lo2, hi2 = infer_winner(data, WinnersModelKind.CONDITIONAL_ON_LOSERS, wide).ci
+        assert lo2 <= lo1 <= hi1 <= hi2
+
+
 class TestInferWinnerFullVector:
     def test_mc_validates_plugin_cdf(self):
         theta1, others = 0.7, np.array([0.4, -0.3, 1.1, 0.2])
