@@ -17,7 +17,7 @@ from scipy import optimize
 from scipy.special import log_ndtr, ndtr
 
 from ._quad import log_integral_panels
-from .distributions import _log_interval_mass, _logsumexp, std_normal_log_pdf
+from .distributions import _log_interval_mass, _logsumexp, mills_ratio, std_normal_log_pdf
 from .results import InferenceResult
 from .selective import invert_equal_tailed, solve_monotone
 
@@ -246,11 +246,9 @@ def _unconditional_sum_cdf(s: float, prior: SampleSizePrior, n2: int,
 
 
 def _conditional_score(theta: float, data: TwoStageData) -> float:
-    n1 = data.n1
-    z = data.threshold
-    a = theta * math.sqrt(n1) - z
-    mills = math.exp(float(std_normal_log_pdf(a)) - float(log_ndtr(a)))
-    return data.total_sum - data.n * theta - math.sqrt(n1) * mills
+    root_n1 = math.sqrt(data.n1)
+    return (data.total_sum - data.n * theta
+            - root_n1 * mills_ratio(data.threshold - theta * root_n1))
 
 
 def _conditional_mle(data: TwoStageData) -> float:

@@ -19,7 +19,7 @@ from scipy import optimize
 from scipy.special import log_ndtr
 
 from ._quad import _leggauss, log_integral_gl
-from .distributions import _logsumexp, std_normal_log_pdf, std_normal_quantile
+from .distributions import _logsumexp, mills_ratio, std_normal_log_pdf, std_normal_quantile
 from .results import InferenceResult
 from .selective import invert_equal_tailed, solve_monotone
 
@@ -156,9 +156,7 @@ def _conditional_sf(t: float, c: float, sigma: float, theta: float) -> float:
 
 
 def _conditional_score(theta: float, t: float, c: float, sigma: float) -> float:
-    s = (c - theta) / sigma
-    mills = math.exp(float(std_normal_log_pdf(s)) - _log_sf(s))
-    return (t - theta) / sigma**2 - mills / sigma
+    return (t - theta) / sigma**2 - mills_ratio((c - theta) / sigma) / sigma
 
 
 def _conditional_mle(t: float, c: float, sigma: float) -> float:
@@ -227,7 +225,7 @@ def _joint_negloglik_grad(th: np.ndarray, y: np.ndarray, sigma: float):
     lse = _logsumexp(log_nodes)
     log_den = lse + math.log(half)
     node_w = np.exp(log_nodes - lse)
-    mills = np.exp(np.clip(std_normal_log_pdf(zo) - log_cdfs, None, 300.0))
+    mills = np.exp(std_normal_log_pdf(zo) - log_cdfs)
     dlog_den_1 = float(np.sum(node_w * z1)) / sigma
     dlog_den_o = -np.sum(node_w[:, None] * mills, axis=0) / sigma
     zz = (y - th) / sigma

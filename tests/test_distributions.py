@@ -7,6 +7,7 @@ bisection of the plain CDF ratio, and seeded rejection sampling.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from selectcond.distributions import (
     _logsumexp,
     EmptyTruncationError,
     TruncatedGaussian,
+    mills_ratio,
     std_normal_cdf,
     std_normal_log_sf,
     std_normal_sf,
@@ -73,6 +75,30 @@ class TestStdNormal:
         approx = -0.5 * x * x - math.log(x * math.sqrt(2 * math.pi))
         assert std_normal_log_sf(x) == pytest.approx(approx, rel=1e-4)
         assert math.isfinite(std_normal_log_sf(x))
+
+
+def mpmath_hazard(x: float) -> float:
+    """phi(x) / (1 - Phi(x)) at 50 digits."""
+    with mpmath.workdps(50):
+        xm = mpmath.mpf(x)
+        return float(mpmath.npdf(xm) / mpmath.ncdf(-xm))
+
+
+class TestMillsRatio:
+    @settings(deadline=None, max_examples=300)
+    @given(st.floats(-37.0, 1e4))
+    def test_against_mpmath(self, x):
+        assert mills_ratio(x) == pytest.approx(mpmath_hazard(x), rel=1e-13, abs=0.0)
+
+    def test_left_tail_grid(self):
+        # where erfcx of a rounded x / sqrt(2) would lose 2e-13
+        for x in np.linspace(-37.0, 0.0, 371):
+            assert mills_ratio(x) == pytest.approx(mpmath_hazard(x), rel=1e-13, abs=0.0)
+
+    def test_limits(self):
+        assert mills_ratio(-40.0) == 0.0
+        assert mills_ratio(0.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-15)
+        assert mills_ratio(1e8) == pytest.approx(1e8, rel=1e-15)
 
 
 class TestTruncatedGaussianValidation:

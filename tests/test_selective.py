@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import optimize
 from scipy.integrate import quad
-from scipy.special import log_ndtr, ndtr
+from scipy.special import erfcx, log_ndtr, ndtr
 
 from selectcond.distributions import TruncatedGaussian, std_normal_log_pdf, truncated_cdf
 from selectcond.selective import (
     ClosedFormNormalizer,
     DatumNotSelectedError,
+    DivergentMLEError,
     MonteCarloNormalizer,
     ParametricFamily,
     SelectionFunction,
@@ -141,6 +143,55 @@ class TestSelectiveMle:
         est0 = selective_mle(m0, 1.8, x0=1.8)
         est1 = selective_mle(m1, 1.8 + delta, x0=1.8 + delta)
         assert est1 - est0 == pytest.approx(delta, abs=1e-6)
+
+    def test_mle_past_phi_floor_is_divergent(self):
+        # the score root lies near -99, beyond the box; phi underflows
+        # PHI_FLOOR below about -36.05, where the likelihood still rises
+        m = SelectiveModel(scalar_gaussian(), indicator_above(1.0))
+        with pytest.raises(DivergentMLEError) as exc:
+            selective_mle(m, 1.01)
+        np.testing.assert_array_equal(exc.value.direction, [-1.0])
+
+    def test_mle_at_box_end_is_divergent(self):
+        fam = scalar_gaussian()
+        boxed = ParametricFamily(fam.log_density, fam.sampler, ((-5.0, 5.0),),
+                                 fam.integration_window)
+        m = SelectiveModel(boxed, indicator_above(1.0))
+        with pytest.raises(DivergentMLEError) as exc:
+            selective_mle(m, 1.1)  # score root near -8.4
+        np.testing.assert_array_equal(exc.value.direction, [-1.0])
+        assert selective_mle(m, 1.5) == pytest.approx(
+            selective_mle(SelectiveModel(fam, indicator_above(1.0)), 1.5), abs=1e-9)
+
+    def test_two_interval_param_space_rejected(self):
+        fam = scalar_gaussian()
+        two = ParametricFamily(fam.log_density, fam.sampler, ((-5.0, 5.0), (-5.0, 5.0)),
+                               fam.integration_window)
+        with pytest.raises(ValueError):
+            selective_mle(SelectiveModel(two, indicator_above(1.0)), 1.5)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.floats(-1.0, 30.0), st.floats(0.05, 2.5))
+    def test_matches_erfcx_score_root(self, c, gap):
+        # the score of N(theta, 1) | y > c is (y - theta) minus the normal
+        # hazard at c - theta; flat 20 sigma deep, where it slopes at 1/400
+        y = c + gap
+
+        def score(th):
+            return (y - th) - math.sqrt(2.0 / math.pi) / erfcx((c - th) / math.sqrt(2.0))
+
+        root = optimize.brentq(score, c - 40.0, y, xtol=1e-14, rtol=1e-15)
+        est = selective_mle(SelectiveModel(scalar_gaussian(1.0), indicator_above(c)), y)
+        assert abs(est - root) <= 1e-7 * max(1.0, abs(root))
+
+    def test_monte_carlo_normalizer_draws_from_rng(self):
+        sel = randomized_above(1.0, 1.0)
+        want = selective_mle(SelectiveModel(scalar_gaussian(), sel), 1.5)
+        mc = SelectiveModel(scalar_gaussian(), sel, normalizer=MonteCarloNormalizer(50_000))
+        with pytest.raises(ValueError):
+            selective_mle(mc, 1.5)
+        assert selective_mle(mc, 1.5, rng=np.random.default_rng(4)) == pytest.approx(
+            want, abs=0.1)
 
 
 class TestSelectiveCi:

@@ -1,6 +1,7 @@
 """Tests for inference on winners under the two sampling models."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,6 +125,20 @@ class TestInferWinnerConditional:
                            WinnersModelKind.CONDITIONAL_ON_LOSERS, 0.9)
         assert "divergent-mle" in res.diagnostics.get("flags", [])
         assert res.ci[0] == -math.inf
+
+    def test_mle_far_below_a_close_loser(self):
+        # t - c = 3e-4: the root lies near -3333, where the score slopes at
+        # about 1e-7 and a hazard formed from two logs near -5.6e6 is off by
+        # tens of units
+        t, c = 3e-4, 0.0
+        with mpmath.workdps(50):
+            def score(th):
+                return (t - th) - mpmath.npdf(c - th) / mpmath.ncdf(th - c)
+
+            root = float(mpmath.findroot(score, (-3400.0, -3300.0), solver="anderson"))
+        res = infer_winner(WinnersData(np.array([t, c, -1.0])),
+                           WinnersModelKind.CONDITIONAL_ON_LOSERS, 0.9)
+        assert res.estimate == pytest.approx(root, rel=1e-9)
 
     def test_conditional_coverage(self):
         # reduced-size check; the full 1e4-replication run is acceptance 1
