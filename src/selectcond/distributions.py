@@ -24,6 +24,7 @@ __all__ = [
     "std_normal_quantile",
     "std_normal_log_pdf",
     "mills_ratio",
+    "mills_excess",
     "truncated_cdf",
     "truncated_sf",
     "truncated_logpdf",
@@ -82,6 +83,22 @@ def mills_ratio(x: float) -> float:
     if x < -10.0:
         return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
     return float(_SQRT_2_OVER_PI / erfcx(x / _SQRT2))
+
+
+def mills_excess(s: float) -> float:
+    """mills_ratio(s) - s at a scalar s, without the cancellation of that
+    difference for large s, where it tends to 1/s.
+
+    Above 8 it is Laplace's continued fraction 1/(s + 2/(s + 3/(s + ...))),
+    cut at 20 terms (2e-16 relative there); at or below 8 the difference
+    itself, within 2.5e-14 relative.
+    """
+    if s <= 8.0:
+        return mills_ratio(s) - s
+    tail = 0.0
+    for k in range(21, 1, -1):
+        tail = k / (s + tail)
+    return 1.0 / (s + tail)
 
 
 def _log1mexp(t: float) -> float:

@@ -8,14 +8,13 @@ inversion.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Union
 
 import numpy as np
 from scipy import optimize
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from ._quad import log_integral_panels
 from .distributions import std_normal_log_pdf
@@ -385,7 +384,8 @@ def selective_cdf(model: SelectiveModel, y: float, theta,
 
     The panels are split at y: the numerator integrates those below it,
     and, unless the normalizer is closed-form, the denominator adds those
-    above it.
+    above it. Their ratio is taken in log space, so it stays accurate where
+    a quadrature phi falls below PHI_FLOOR; only a zero mass raises.
     """
     edges = _panel_edges(model, theta)
     cut = min(max(float(y), edges[0]), edges[-1])
@@ -397,7 +397,7 @@ def selective_cdf(model: SelectiveModel, y: float, theta,
     else:
         log_up = log_integral_panels(log_f, np.insert(edges[edges > cut], 0, cut), nodes)
         log_den = float(np.logaddexp(log_num, log_up))
-    if log_den < _LOG_PHI_FLOOR:
+    if log_den == -math.inf:
         raise UnsupportedSelectionError("unsupported selection")
     return math.exp(min(log_num - log_den, 0.0))
 
@@ -409,11 +409,12 @@ def selective_mle(model: SelectiveModel, y, x0=None, seed: int = 0,
     A bounded scalar search over the one param_space interval, then
     solve_monotone on the five-point central-difference score; a root
     outside the box leaves the bounded value, and so does a Monte Carlo
-    normalizer, which redraws at every evaluation. x0, seed and n_starts
-    are ignored. Raises ValueError for a param_space of more than one
-    interval, DatumNotSelectedError, and DivergentMLEError when the optimum
-    sits at an end of the box, or of the region where phi >= PHI_FLOOR,
-    with the likelihood still rising outward.
+    normalizer, whose generator is rebuilt at every evaluation from one
+    seed drawn from rng, so every theta sees the same noise (common random
+    numbers). x0, seed and n_starts are ignored. Raises ValueError for a
+    param_space of more than one interval, DatumNotSelectedError, and
+    DivergentMLEError when the optimum sits at an end of the box, or of the
+    region where phi >= PHI_FLOOR, with the likelihood still rising outward.
     """
     if len(model.family.param_space) != 1:
         raise ValueError("selective_mle needs a param_space of one interval")
@@ -422,10 +423,12 @@ def selective_mle(model: SelectiveModel, y, x0=None, seed: int = 0,
     if p_obs <= 0.0:
         raise DatumNotSelectedError("datum inconsistent with selection event")
     log_p_obs = math.log(p_obs)
+    mc_seed = None if rng is None else int(rng.integers(2**63))
 
     def negloglik(th):
+        mc_rng = None if mc_seed is None else np.random.default_rng(mc_seed)
         try:
-            log_phi = _log_phi(model, th, rng)
+            log_phi = _log_phi(model, th, mc_rng)
         except UnsupportedSelectionError:
             return _UNSUPPORTED_NLL
         val = model.family.log_density(y, th) + log_p_obs - log_phi
@@ -448,7 +451,6 @@ def selective_mle(model: SelectiveModel, y, x0=None, seed: int = 0,
     # O(h^4) error stays far below it
     h = 1e-3 * max(1.0, abs(x))
 
-    @functools.cache  # brentq re-evaluates the bracket ends solve_monotone found
     def score(th):
         return (8.0 * (negloglik(th - h) - negloglik(th + h))
                 - negloglik(th - 2.0 * h) + negloglik(th + 2.0 * h)) / (12.0 * h)
@@ -459,30 +461,73 @@ def selective_mle(model: SelectiveModel, y, x0=None, seed: int = 0,
 
 def solve_monotone(g, center: float, step: float, limit: float,
                    xtol: float, rtol: float) -> float:
-    """Root of g, a function decreasing in x, to brentq's xtol and rtol.
+    """Root of g, a function decreasing in x, to within xtol + rtol |x|.
 
-    The bracket starts at center and doubles its width from step, leftward
-    while g <= 0 and rightward while g > 0; one brentq call then solves
-    inside it. A bracket leaving |x| <= limit gives -inf or +inf, the side
-    on which the root lies beyond the box.
+    The bracket grows from center toward the root: center +- step first,
+    then secant extrapolations with an overshoot that grows after each
+    probe that fails to bracket, each secant step at least the one before
+    and at most 4 times the last step; where the values give no secant
+    (equal, or not finite) it probes center +- 2^k step. A probe past
+    |x| <= limit moves to the box edge, and an edge short of the root gives
+    -inf or +inf, the side of the root. Chandrupatla's method (1997) then
+    finishes from the known values at the bracket ends and the probe
+    before, until the bracket is at most xtol + rtol |x| wide. No point is
+    evaluated twice.
     """
-    x, gx, width = center, g(center), step
-    right = gx > 0.0
-    while (gx > 0.0) if right else (gx <= 0.0):
-        x = center + width if right else center - width
-        if abs(x) > limit:
-            return math.inf if right else -math.inf
-        gx = g(x)
-        width *= 2.0
-    return float(optimize.brentq(g, min(x, center), max(x, center), xtol=xtol, rtol=rtol))
+    a, ga = b, gb = p, gp = center, g(center)
+    s = 1.0 if ga > 0.0 else -1.0
+    over, width, last = 0.1, step, 0.0
+    while s * gb > 0.0:
+        if s * b >= limit:
+            return s * math.inf
+        r = gb * (b - a) / (ga - gb) if ga != gb else math.nan
+        p, gp, a, ga, d = a, ga, b, gb, abs(b - a)
+        if s * r > 0.0 and math.isfinite(r):
+            last = min(max((1.0 + over) * abs(r), last, xtol + rtol * abs(b)), 4.0 * d)
+            b, over = b + s * last, 4.0 * over
+        else:
+            while s * (center + s * width) <= s * b:
+                width *= 2.0
+            b = center + s * width
+        b = s * min(s * b, limit)
+        gb = g(b)
+    # Chandrupatla: [x1, x2] the bracket, x3 a third point beyond x1 (at
+    # first the probe before x1); inverse quadratic interpolation where the
+    # three points make it safe, else regula falsi at the first step
+    # (bisection from an infinite end) and bisection after it
+    x1, f1, x2, f2, x3, f3 = a, ga, b, gb, p, gp
+    fallback = f1 / (f1 - f2) if math.isfinite(f1 - f2) and f1 != f2 else 0.5
+    while True:
+        xm = x1 if abs(f1) <= abs(f2) else x2
+        tol = xtol + rtol * abs(xm)
+        if f1 == 0.0 or f2 == 0.0 or abs(x2 - x1) <= tol:
+            return xm if abs(xm) <= limit else math.copysign(math.inf, xm)
+        xi, ph = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+        t = (f1 / (f2 - f1) * f3 / (f2 - f3)
+             + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2)
+             if ph * ph < xi and (1.0 - ph) ** 2 < 1.0 - xi else fallback)
+        # rtol >= 4 eps keeps the clipped point off both ends
+        tl, fallback = 0.5 * tol / abs(x2 - x1), 0.5
+        xt = x1 + min(max(t, tl), 1.0 - tl) * (x2 - x1)
+        ft = g(xt)
+        if (ft > 0.0) == (f1 > 0.0):
+            x3, f3 = x1, f1
+        else:
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = xt, ft
 
 
 def invert_monotone_cdf(cdf_in_theta, observed_level: float, center: float,
                         step: float = 1.0, limit: float = 50.0,
                         xtol: float = 1e-8) -> float:
     """Solve cdf(theta) = observed_level for a CDF decreasing in theta;
-    UnboundedCIError when the solution lies outside |theta| <= limit."""
-    root = solve_monotone(lambda th: cdf_in_theta(th) - observed_level,
+    UnboundedCIError when the solution lies outside |theta| <= limit.
+
+    The solve runs on the probit pivot ndtri(cdf) - ndtri(observed_level),
+    exactly linear in theta for an untruncated Gaussian; a CDF of 0 or 1
+    maps to -inf or +inf, which keeps the sign."""
+    z = float(ndtri(observed_level))
+    root = solve_monotone(lambda th: float(ndtri(cdf_in_theta(th))) - z,
                           center, step, limit, xtol, 1e-14)
     if math.isinf(root):
         raise UnboundedCIError(root)
@@ -498,12 +543,17 @@ def invert_equal_tailed(cdf_in_theta, level: float, center: float,
     Heavy-tailed families genuinely produce half-infinite selective
     intervals. A CDF on one side of both levels over the whole box puts
     the accepted set beyond the box: (-inf, -inf) or (inf, inf), which
-    covers no theta inside it."""
+    covers no theta inside it. cdf(center) is evaluated once for both."""
     alpha = 1.0 - level
+    at_center = cdf_in_theta(center)
+
+    def cdf(th):
+        return at_center if th == center else cdf_in_theta(th)
+
     ends = []
     for side, observed_level in (("lower", 1.0 - alpha / 2.0), ("upper", alpha / 2.0)):
         try:
-            ends.append(invert_monotone_cdf(cdf_in_theta, observed_level, center,
+            ends.append(invert_monotone_cdf(cdf, observed_level, center,
                                             step=step, limit=limit))
         except UnboundedCIError as exc:
             if diagnostics is not None:

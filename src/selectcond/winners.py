@@ -19,7 +19,7 @@ from scipy import optimize
 from scipy.special import log_ndtr
 
 from ._quad import _leggauss, log_integral_gl
-from .distributions import _logsumexp, mills_ratio, std_normal_log_pdf, std_normal_quantile
+from .distributions import _logsumexp, mills_excess, std_normal_log_pdf, std_normal_quantile
 from .results import InferenceResult
 from .selective import invert_equal_tailed, solve_monotone
 
@@ -156,7 +156,9 @@ def _conditional_sf(t: float, c: float, sigma: float, theta: float) -> float:
 
 
 def _conditional_score(theta: float, t: float, c: float, sigma: float) -> float:
-    return (t - theta) / sigma**2 - mills_ratio((c - theta) / sigma) / sigma
+    # (t - theta) / sigma^2 - mills_ratio(s) / sigma with the s = (c - theta)
+    # / sigma of both terms cancelled: they are near 3333 when t - c = 3e-4
+    return (t - c) / sigma**2 - mills_excess((c - theta) / sigma) / sigma
 
 
 def _conditional_mle(t: float, c: float, sigma: float) -> float:

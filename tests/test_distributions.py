@@ -19,6 +19,7 @@ from selectcond.distributions import (
     _logsumexp,
     EmptyTruncationError,
     TruncatedGaussian,
+    mills_excess,
     mills_ratio,
     std_normal_cdf,
     std_normal_log_sf,
@@ -99,6 +100,28 @@ class TestMillsRatio:
         assert mills_ratio(-40.0) == 0.0
         assert mills_ratio(0.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-15)
         assert mills_ratio(1e8) == pytest.approx(1e8, rel=1e-15)
+
+
+def mpmath_excess(s: float) -> float:
+    """phi(s) / (1 - Phi(s)) - s at 50 digits."""
+    with mpmath.workdps(50):
+        sm = mpmath.mpf(s)
+        return float(mpmath.npdf(sm) / mpmath.ncdf(-sm) - sm)
+
+
+class TestMillsExcess:
+    @settings(deadline=None, max_examples=300)
+    @given(st.floats(-37.0, 1e4))
+    def test_against_mpmath(self, s):
+        assert mills_excess(s) == pytest.approx(mpmath_excess(s), rel=1e-13, abs=0.0)
+
+    def test_across_the_continued_fraction_switch(self):
+        for s in np.linspace(6.0, 12.0, 241):
+            assert mills_excess(s) == pytest.approx(mpmath_excess(s), rel=1e-13, abs=0.0)
+
+    def test_tends_to_reciprocal(self):
+        # mills_ratio(1e8) - 1e8 is 0 in floating point; the excess is 1/s
+        assert mills_excess(1e8) == pytest.approx(1e-8, rel=1e-15)
 
 
 class TestTruncatedGaussianValidation:

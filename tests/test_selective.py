@@ -42,6 +42,15 @@ def always_selected():
     return SelectionFunction("deterministic", lambda y: 1.0)
 
 
+def decreasing(shape, root):
+    """A function decreasing through its one root, linear or flattening out."""
+    if shape == "linear":
+        return lambda x: root - x
+    if shape == "tanh":
+        return lambda x: math.tanh(root - x)
+    return lambda x: float(np.cbrt(root - x))
+
+
 class TestSelectionProbability:
     def test_no_selection_is_one(self):
         m = SelectiveModel(scalar_gaussian(), always_selected())
@@ -193,6 +202,17 @@ class TestSelectiveMle:
         assert selective_mle(mc, 1.5, rng=np.random.default_rng(4)) == pytest.approx(
             want, abs=0.1)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_monte_carlo_mle_reuses_its_draws(self, seed):
+        # fresh draws at every likelihood evaluation made the bounded search
+        # stop anywhere in the noise: 0.142, 0.038 and 0.056 off at these seeds
+        sel = randomized_above(1.0, 1.0)
+        want = selective_mle(SelectiveModel(scalar_gaussian(), sel), 1.5)
+        assert want == pytest.approx(0.90534, abs=1e-5)
+        mc = SelectiveModel(scalar_gaussian(), sel, normalizer=MonteCarloNormalizer(20_000))
+        assert selective_mle(mc, 1.5, rng=np.random.default_rng(seed)) == pytest.approx(
+            want, abs=0.02)
+
 
 class TestSelectiveCi:
     def test_classical_interval(self):
@@ -219,8 +239,8 @@ class TestSelectiveCi:
         assert hi == pytest.approx(hi_oracle, abs=1e-4)
 
     def test_endpoint_beyond_theta_limit_is_infinite(self):
-        # the lower endpoint lies below theta = -50, outside the search box
-        y, c, level = 0.0625, 0.0, 0.8
+        # the lower endpoint is -76.7248 (mpmath), outside the search box
+        y, c, level = 0.03, 0.0, 0.8
 
         def tg_cdf(theta):
             return truncated_cdf(y, TruncatedGaussian(theta, 1.0, ((c, math.inf),)))
@@ -228,6 +248,14 @@ class TestSelectiveCi:
         lo, hi = selective_ci(SelectiveModel(scalar_gaussian(), indicator_above(c)), y, level)
         assert lo == -math.inf
         assert hi == pytest.approx(invert_equal_tailed(tg_cdf, level, y)[1], abs=1e-7)
+        assert hi == pytest.approx(-3.23033, abs=1e-5)
+
+    def test_endpoint_inside_box_near_its_edge(self):
+        # mpmath puts the lower endpoint at -36.78298801596; a bracket that
+        # doubled from -32 to -64 read it as beyond the box at 50
+        y, c, level = 0.0625, 0.0, 0.8
+        lo, hi = selective_ci(SelectiveModel(scalar_gaussian(), indicator_above(c)), y, level)
+        assert lo == pytest.approx(-36.782988016, abs=1e-7)
         assert hi == pytest.approx(-1.16656, abs=1e-5)
 
 
@@ -254,6 +282,54 @@ class TestSolveMonotone:
         got = solve_monotone(g, center, step, self.LIMIT, self.XTOL, self.RTOL)
         assert got == sign * math.inf
 
+    # the root comes back if and only if it lies in |x| <= LIMIT; a bracket
+    # that doubled from 64 to 128 read a root in (64, 100] as beyond the box
+    @settings(deadline=None, max_examples=300)
+    @given(st.floats(-2.0 * LIMIT, 2.0 * LIMIT), st.floats(-2.0 * LIMIT, 2.0 * LIMIT),
+           st.floats(1e-3, 10.0), st.sampled_from(["linear", "tanh", "cbrt"]))
+    def test_box_rule(self, root, center, step, shape):
+        got = solve_monotone(decreasing(shape, root), center, step, self.LIMIT,
+                             self.XTOL, self.RTOL)
+        if abs(root) <= self.LIMIT:
+            assert abs(got - root) <= self.XTOL + self.RTOL * abs(got)
+        else:
+            assert got == math.copysign(math.inf, root)
+
+    def test_root_between_doubling_probes_and_box_edge(self):
+        assert solve_monotone(lambda x: -40.0 - x, 0.0, 1.0, 50.0, 1e-10, 1e-15) == (
+            pytest.approx(-40.0, abs=1e-10))
+        assert solve_monotone(lambda x: math.tanh(-40.0 - x), 0.0, 1.0, 50.0, 1e-10,
+                              1e-15) == pytest.approx(-40.0, abs=1e-10)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.floats(-2.0 * LIMIT, 2.0 * LIMIT), st.floats(-LIMIT, LIMIT),
+           st.floats(1e-3, 10.0), st.sampled_from(["linear", "tanh", "cbrt"]))
+    def test_never_evaluates_a_point_twice(self, root, center, step, shape):
+        f, seen = decreasing(shape, root), []
+
+        def g(x):
+            seen.append(x)
+            return f(x)
+
+        solve_monotone(g, center, step, self.LIMIT, self.XTOL, self.RTOL)
+        assert len(set(seen)) == len(seen)
+
+    # the probit pivot of an untruncated Gaussian is linear in theta: the
+    # first secant brackets a root within 4 steps and regula falsi lands on it
+    @settings(deadline=None, max_examples=200)
+    @given(st.floats(-10.0, 10.0), st.floats(0.1, 10.0), st.floats(-4.0, 4.0),
+           st.floats(0.1, 10.0))
+    def test_linear_takes_at_most_five_evaluations(self, center, step, offset, slope):
+        root, seen = center + offset * step, []
+
+        def g(x):
+            seen.append(x)
+            return slope * (root - x)
+
+        got = solve_monotone(g, center, step, self.LIMIT, self.XTOL, self.RTOL)
+        assert abs(got - root) <= self.XTOL + self.RTOL * abs(got)
+        assert len(seen) <= 5
+
 
 class TestInvertEqualTailed:
     @pytest.mark.parametrize("cdf_value, end", [(0.001, -math.inf), (0.999, math.inf)])
@@ -265,6 +341,25 @@ class TestInvertEqualTailed:
         ci = invert_equal_tailed(lambda th: cdf_value, 0.9, 0.0, diagnostics=diagnostics)
         assert ci == (end, end)
         assert diagnostics["flags"] == ["unbounded-ci-lower", "unbounded-ci-upper"]
+
+    @settings(deadline=None, max_examples=10)
+    @given(st.integers(0, 2**32 - 1))
+    def test_truncated_gaussian_endpoints_cost_few_cdf_evaluations(self, seed):
+        # 40 CIs for N(theta, 1) | y > c; a doubling bracket and brentq took
+        # about 13 CDF evaluations per endpoint
+        rng = np.random.default_rng(seed)
+        evals = 0
+        for _ in range(40):
+            c, gap = rng.uniform(-2.0, 2.0), rng.uniform(0.05, 3.0)
+            level = rng.choice([0.8, 0.9, 0.95])
+
+            def cdf(theta):
+                nonlocal evals
+                evals += 1
+                return truncated_cdf(c + gap, TruncatedGaussian(theta, 1.0, ((c, math.inf),)))
+
+            invert_equal_tailed(cdf, level, c + gap)
+        assert evals / 80 <= 7.5
 
 
 class TestRandomizedSelectionProb:
@@ -386,6 +481,16 @@ class TestQuadratureNormalizer:
     def test_cdf_matches_truncated_gaussian(self, c, depth, above):
         theta = c - depth
         y = c + above
+        m = SelectiveModel(scalar_gaussian(), indicator_above(c))
+        want = truncated_cdf(y, TruncatedGaussian(theta, 1.0, ((c, math.inf),)))
+        assert selective_cdf(m, y, theta) == pytest.approx(want, abs=1e-10)
+
+    # past 37 sigma phi falls below PHI_FLOOR, but the CDF is a ratio taken
+    # in log space; raising there made selective_ci read the CDF as 1
+    @settings(deadline=None, max_examples=100)
+    @given(st.floats(-5.0, 30.0), st.floats(37.0, 130.0), st.floats(0.0, 3.0))
+    def test_cdf_past_phi_floor_matches_truncated_gaussian(self, c, depth, above):
+        theta, y = c - depth, c + above
         m = SelectiveModel(scalar_gaussian(), indicator_above(c))
         want = truncated_cdf(y, TruncatedGaussian(theta, 1.0, ((c, math.inf),)))
         assert selective_cdf(m, y, theta) == pytest.approx(want, abs=1e-10)

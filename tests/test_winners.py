@@ -140,6 +140,20 @@ class TestInferWinnerConditional:
                            WinnersModelKind.CONDITIONAL_ON_LOSERS, 0.9)
         assert res.estimate == pytest.approx(root, rel=1e-9)
 
+    @pytest.mark.parametrize("c", [-2.0, 0.0, 1.3])
+    def test_mle_far_below_a_close_loser_to_rounding(self, c):
+        # a score written as (t - theta) - mills_ratio(c - theta) subtracts
+        # two numbers near 3333 and was 2.2e-9, 7.7e-10 and 2.4e-9 off
+        t = c + 3e-4
+        with mpmath.workdps(50):
+            def score(th):
+                return (t - th) - mpmath.npdf(c - th) / mpmath.ncdf(th - c)
+
+            root = float(mpmath.findroot(score, (c - 3400.0, c - 3300.0), solver="anderson"))
+        res = infer_winner(WinnersData(np.array([t, c, c - 1.0])),
+                           WinnersModelKind.CONDITIONAL_ON_LOSERS, 0.9)
+        assert res.estimate == pytest.approx(root, rel=1e-11)
+
     def test_conditional_coverage(self):
         # reduced-size check; the full 1e4-replication run is acceptance 1
         theta = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
