@@ -1,8 +1,9 @@
 """Experiment configuration: JSON documents validated against a published schema."""
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass
+import math
 
 __all__ = ["ConfigError", "ExperimentConfig", "SCENARIOS", "config_schema",
            "parse_config", "load_config"]
@@ -12,22 +13,13 @@ class ConfigError(ValueError):
     """Configuration document is malformed."""
 
 
-def _positive_int(v):
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise ConfigError(f"expected a positive integer, got {v!r}")
-    return v
-
-
-def _nonnegative_int(v):
-    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-        raise ConfigError(f"expected a nonnegative integer, got {v!r}")
-    return v
-
-
-def _u64(v):
-    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < 2**64:
-        raise ConfigError(f"expected an unsigned 64-bit integer, got {v!r}")
-    return v
+def _int(lo, hi=math.inf):
+    """Validator of integers in [lo, hi)."""
+    def check(v):
+        if not isinstance(v, int) or isinstance(v, bool) or not lo <= v < hi:
+            raise ConfigError(f"expected an integer in [{lo}, {hi}), got {v!r}")
+        return v
+    return check
 
 
 def _level(v):
@@ -82,56 +74,46 @@ def _prior(v):
     return {"support": support, "probs": _number_list(v["probs"])}
 
 
+_WINNERS = {
+    "m": (_int(1), True),
+    "theta": (_number_list, True),
+    "sigma": (_positive_number, False),
+    "level": (_level, True),
+    "n_reps": (_int(1), True),
+}
+_SCREENING = {
+    "n": (_int(1), True),
+    "p": (_int(1), True),
+    "threshold": (_positive_number, True),
+    "beta": (_number_list, False),
+    "n_reps": (_int(1), True),
+}
+
 # scenario name -> {param: (validator, required)}
 SCENARIOS = {
-    "winners-coverage": {
-        "m": (_positive_int, True),
-        "theta": (_number_list, True),
-        "sigma": (_positive_number, False),
-        "level": (_level, True),
-        "n_reps": (_positive_int, True),
-    },
-    "winners-compare": {
-        "m": (_positive_int, True),
-        "theta": (_number_list, True),
-        "sigma": (_positive_number, False),
-        "level": (_level, True),
-        "n_reps": (_positive_int, True),
-    },
-    "polyhedral-uniformity": {
-        "n": (_positive_int, True),
-        "p": (_positive_int, True),
-        "threshold": (_positive_number, True),
-        "beta": (_number_list, False),
-        "n_reps": (_positive_int, True),
-    },
-    "polyhedral-coverage": {
-        "n": (_positive_int, True),
-        "p": (_positive_int, True),
-        "threshold": (_positive_number, True),
-        "beta": (_number_list, False),
-        "level": (_level, True),
-        "n_reps": (_positive_int, True),
-    },
+    "winners-coverage": _WINNERS,
+    "winners-compare": _WINNERS,
+    "polyhedral-uniformity": _SCREENING,
+    "polyhedral-coverage": {**_SCREENING, "level": (_level, True)},
     "two-stage-compare": {
         "prior": (_prior, True),
-        "n2": (_nonnegative_int, True),
+        "n2": (_int(0), True),
         "theta": (_number, True),
         "threshold": (_positive_number, False),
         "level": (_level, True),
         "regime": (_string({"joint", "fixed-n1"}), True),
-        "n_reps": (_positive_int, True),
+        "n_reps": (_int(1), True),
     },
     "location-coverage": {
         "family": (_string({"gaussian", "laplace", "logistic"}), True),
-        "n": (_positive_int, True),
+        "n": (_int(1), True),
         "theta": (_number, True),
         "selection_alpha": (_level, True),
         "level": (_level, True),
-        "n_reps": (_positive_int, True),
+        "n_reps": (_int(1), True),
     },
     "ancillarity-audit": {
-        "audits": (_positive_int, True),
+        "audits": (_int(1), True),
         "eps": (_level, True),
         "counterexample": (_bool, False),
     },
@@ -140,7 +122,7 @@ SCENARIOS = {
 _TOP_LEVEL = {"scenario", "params", "seed", "parallelism"}
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str
     params: dict
@@ -148,14 +130,7 @@ class ExperimentConfig:
     parallelism: int = 1
 
     def replace(self, **kw) -> "ExperimentConfig":
-        data = {
-            "scenario": self.scenario,
-            "params": dict(self.params),
-            "seed": self.seed,
-            "parallelism": self.parallelism,
-        }
-        data.update(kw)
-        return parse_config(data)
+        return parse_config({**dataclasses.asdict(self), **kw})
 
 
 def config_schema() -> dict:
@@ -191,8 +166,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     scenario = doc["scenario"]
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; known: {sorted(SCENARIOS)}")
-    seed = _u64(doc["seed"])
-    parallelism = _positive_int(doc.get("parallelism", 1))
+    seed = _int(0, 2**64)(doc["seed"])
+    parallelism = _int(1)(doc.get("parallelism", 1))
     params_in = doc["params"]
     if not isinstance(params_in, dict):
         raise ConfigError("params must be an object")

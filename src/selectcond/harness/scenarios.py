@@ -19,8 +19,8 @@ from .. import two_stage as ts
 from .. import winners as win
 from ..results import InferenceResult
 
-__all__ = ["ROW_COLUMNS", "rep_rng", "stream_rng", "n_replications",
-           "run_replication", "summarize", "ks_uniform"]
+__all__ = ["ROW_COLUMNS", "rep_rng", "n_replications", "run_replication", "summarize",
+           "ks_uniform"]
 
 ROW_COLUMNS = ("rep", "estimate", "lo", "hi", "covered", "length", "pvalue", "flags")
 
@@ -30,10 +30,6 @@ DESIGN_STREAM = 2**63
 
 def rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, rep]))
-
-
-def stream_rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, tag]))
 
 
 def ks_uniform(values) -> float:
@@ -46,25 +42,16 @@ def ks_uniform(values) -> float:
     return float(np.maximum(grid - u, u - (grid - 1.0 / n)).max())
 
 
-def _row(rep, result: InferenceResult = None, covered=math.nan, flags=()):
+def _row(rep, result: InferenceResult = None, flags=(), **fields):
+    """A row of NaNs, filled from result, then from fields; result's flags follow flags."""
+    row = dict.fromkeys(ROW_COLUMNS, math.nan)
     flags = list(flags)
-    if result is None:
-        return {
-            "rep": rep, "estimate": math.nan, "lo": math.nan, "hi": math.nan,
-            "covered": covered, "length": math.nan, "pvalue": math.nan,
-            "flags": ";".join(flags),
-        }
-    flags.extend(result.diagnostics.get("flags", []))
-    return {
-        "rep": rep,
-        "estimate": result.estimate,
-        "lo": result.ci[0],
-        "hi": result.ci[1],
-        "covered": covered,
-        "length": result.length,
-        "pvalue": result.pvalue,
-        "flags": ";".join(flags),
-    }
+    if result is not None:
+        row.update(estimate=result.estimate, lo=result.ci[0], hi=result.ci[1],
+                   length=result.length, pvalue=result.pvalue)
+        flags.extend(result.diagnostics.get("flags", []))
+    row.update(fields, rep=rep, flags=";".join(flags))
+    return row
 
 
 # winners
@@ -103,7 +90,7 @@ def _winners_compare_rep(params, seed, rep):
 
 @lru_cache(maxsize=8)
 def _screening_design(seed: int, n: int, p: int):
-    rng = stream_rng(seed, DESIGN_STREAM)
+    rng = rep_rng(seed, DESIGN_STREAM)
     X = poly.normalize_columns(rng.standard_normal((n, p)))
     X.setflags(write=False)
     return X
@@ -131,10 +118,7 @@ def _screening_rep_common(params, seed, rep):
 def _polyhedral_uniformity_rep(params, seed, rep):
     y, target, event, psi_true = _screening_rep_common(params, seed, rep)
     p = poly.selective_pvalue_linear(event, target, y, 1.0, psi_true, "greater")
-    row = _row(rep)
-    row["estimate"] = target.statistic(y)
-    row["pvalue"] = p
-    return [row]
+    return [_row(rep, estimate=target.statistic(y), pvalue=p)]
 
 
 def _polyhedral_coverage_rep(params, seed, rep):
@@ -143,11 +127,10 @@ def _polyhedral_coverage_rep(params, seed, rep):
     lo, hi = poly.selective_ci_linear(event, target, y, 1.0, params["level"],
                                       diagnostics=diagnostics)
     p = poly.selective_pvalue_linear(event, target, y, 1.0, psi_true, "greater")
-    return [{
-        "rep": rep, "estimate": target.statistic(y), "lo": lo, "hi": hi,
-        "covered": float(lo <= psi_true <= hi), "length": hi - lo,
-        "pvalue": p, "flags": ";".join(diagnostics.get("flags", [])),
-    }]
+    # not an InferenceResult: that would flag estimate-outside-ci and reject NaN bounds
+    return [_row(rep, flags=diagnostics.get("flags", []), estimate=target.statistic(y),
+                 lo=lo, hi=hi, covered=float(lo <= psi_true <= hi), length=hi - lo,
+                 pvalue=p)]
 
 
 # two-stage
@@ -247,7 +230,7 @@ def run_replication(scenario: str, params: dict, seed: int, rep: int) -> list:
     try:
         return _REPLICATORS[scenario](params, seed, rep)
     except Exception as exc:  # noqa: BLE001 - per-replication failures are data
-        return [_row(rep, covered=math.nan, flags=[f"error={type(exc).__name__}"])]
+        return [_row(rep, flags=[f"error={type(exc).__name__}"])]
 
 
 def _finite(values):
@@ -259,7 +242,6 @@ def _coverage_stats(rows, level):
     covered = _finite([r["covered"] for r in rows])
     lengths = _finite([r["length"] for r in rows])
     return {
-        "n_rows": len(rows),
         "nominal_level": level,
         "coverage": float(covered.mean()) if covered.size else math.nan,
         "n_covered_rows": int(covered.size),
@@ -267,61 +249,20 @@ def _coverage_stats(rows, level):
     }
 
 
+# the two kinds a compare scenario pairs per replication, in the order its
+# pairwise statistic takes them
+_COMPARED_KINDS = {
+    "winners-compare": ("full-vector", "conditional-on-losers"),
+    "two-stage-compare": ("conditional", "unconditional"),
+}
+_KS_SCENARIOS = ("winners-coverage", "location-coverage", "polyhedral-coverage",
+                 "polyhedral-uniformity")
+
+
 def summarize(scenario: str, params: dict, rows: list) -> dict:
     """Summary statistics, recomputable from the per-replication rows alone."""
     out = {"scenario": scenario}
-    if scenario in ("winners-coverage", "location-coverage", "polyhedral-coverage"):
-        out.update(_coverage_stats(rows, params["level"]))
-        pvals = _finite([r["pvalue"] for r in rows])
-        out["ks_pvalue_uniform"] = ks_uniform(pvals) if pvals.size else math.nan
-    elif scenario == "polyhedral-uniformity":
-        pvals = _finite([r["pvalue"] for r in rows])
-        out["n_rows"] = len(rows)
-        out["ks_pvalue_uniform"] = ks_uniform(pvals) if pvals.size else math.nan
-    elif scenario == "winners-compare":
-        by_kind = {}
-        for r in rows:
-            for token in r["flags"].split(";"):
-                if token.startswith("kind="):
-                    by_kind.setdefault(token[5:], {})[r["rep"]] = r
-        full = by_kind.get("full-vector", {})
-        cond = by_kind.get("conditional-on-losers", {})
-        ratios = []
-        for rep, fr in full.items():
-            cr = cond.get(rep)
-            if cr is None:
-                continue
-            if math.isfinite(fr["length"]) and math.isfinite(cr["length"]) and cr["length"] > 0:
-                ratios.append(fr["length"] / cr["length"])
-        for kind, sub in sorted(by_kind.items()):
-            stats = _coverage_stats(list(sub.values()), params["level"])
-            out[f"coverage[{kind}]"] = stats["coverage"]
-            out[f"median_length[{kind}]"] = stats["median_length"]
-        out["n_rows"] = len(rows)
-        out["n_length_ratios"] = len(ratios)
-        out["median_length_ratio"] = float(np.median(ratios)) if ratios else math.nan
-    elif scenario == "two-stage-compare":
-        by_kind = {"conditional": [], "unconditional": []}
-        deltas = {}
-        for r in rows:
-            for token in r["flags"].split(";"):
-                if token.startswith("kind="):
-                    by_kind.setdefault(token[5:], []).append(r)
-                    deltas.setdefault(r["rep"], {})[token[5:]] = r["estimate"]
-        for kind, sub in sorted(by_kind.items()):
-            stats = _coverage_stats(sub, params["level"])
-            out[f"coverage[{kind}]"] = stats["coverage"]
-            out[f"median_length[{kind}]"] = stats["median_length"]
-        est_deltas = _finite([
-            d["unconditional"] - d["conditional"]
-            for d in deltas.values()
-            if "conditional" in d and "unconditional" in d
-        ])
-        out["n_rows"] = len(rows)
-        out["mean_abs_estimate_delta"] = (
-            float(np.mean(np.abs(est_deltas))) if est_deltas.size else math.nan
-        )
-    elif scenario == "ancillarity-audit":
+    if scenario == "ancillarity-audit":
         audit_rows = [r for r in rows if "counterexample" not in r["flags"]]
         cx_rows = [r for r in rows if "counterexample" in r["flags"]]
         passed = _finite([r["covered"] for r in audit_rows])
@@ -330,6 +271,37 @@ def summarize(scenario: str, params: dict, rows: list) -> dict:
         out["all_audits_passed"] = bool(passed.size and passed.sum() == len(audit_rows))
         if cx_rows:
             out["counterexample_failed_as_expected"] = bool(cx_rows[0]["covered"] == 1.0)
+        return out
+    out["n_rows"] = len(rows)
+    if scenario in _COMPARED_KINDS:
+        # both kinds are seeded, so a summary of rows that all errored still has each
+        first, second = _COMPARED_KINDS[scenario]
+        by_kind = {first: {}, second: {}}
+        for r in rows:
+            for token in r["flags"].split(";"):
+                if token.startswith("kind="):
+                    by_kind.setdefault(token[5:], {})[r["rep"]] = r
+        for kind, sub in sorted(by_kind.items()):
+            stats = _coverage_stats(list(sub.values()), params["level"])
+            out[f"coverage[{kind}]"] = stats["coverage"]
+            out[f"median_length[{kind}]"] = stats["median_length"]
+        pairs = [(a, by_kind[second][rep]) for rep, a in by_kind[first].items()
+                 if rep in by_kind[second]]
+        if scenario == "winners-compare":
+            ratios = [a["length"] / b["length"] for a, b in pairs
+                      if math.isfinite(a["length"]) and math.isfinite(b["length"])
+                      and b["length"] > 0]
+            out["n_length_ratios"] = len(ratios)
+            out["median_length_ratio"] = float(np.median(ratios)) if ratios else math.nan
+        else:
+            deltas = _finite([b["estimate"] - a["estimate"] for a, b in pairs])
+            out["mean_abs_estimate_delta"] = (
+                float(np.mean(np.abs(deltas))) if deltas.size else math.nan
+            )
+    elif scenario in _KS_SCENARIOS:
+        if scenario != "polyhedral-uniformity":
+            out.update(_coverage_stats(rows, params["level"]))
+        out["ks_pvalue_uniform"] = ks_uniform(_finite([r["pvalue"] for r in rows]))
     else:
         raise ValueError(f"unknown scenario {scenario!r}")
     return out

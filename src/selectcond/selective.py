@@ -170,7 +170,6 @@ class ParametricFamily:
     sampler: Callable[..., Any]
     param_space: tuple = ((-50.0, 50.0),)
     integration_window: Optional[Callable[[np.ndarray], tuple]] = None
-    sufficient_reduction: Optional[Callable[[Any], tuple]] = None
 
 
 def scalar_gaussian(sigma: float = 1.0) -> ParametricFamily:
@@ -219,20 +218,17 @@ def gaussian_iid(n: int, sigma: float = 1.0) -> ParametricFamily:
 @dataclass(frozen=True)
 class ClosedFormNormalizer:
     fn: Callable[[np.ndarray], float]
-    label: str = "closed-form"
 
 
 @dataclass(frozen=True)
 class QuadratureNormalizer:
     # nodes sets the Gauss-Legendre nodes per panel of the log-space quadrature
     nodes: int = 64
-    label: str = "quadrature"
 
 
 @dataclass(frozen=True)
 class MonteCarloNormalizer:
     n_draws: int = 100_000
-    label: str = "monte-carlo"
 
 
 NormalizerStrategy = Union[ClosedFormNormalizer, QuadratureNormalizer, MonteCarloNormalizer]
@@ -402,8 +398,8 @@ def selective_cdf(model: SelectiveModel, y: float, theta,
     return math.exp(min(log_num - log_den, 0.0))
 
 
-def selective_mle(model: SelectiveModel, y, x0=None, seed: int = 0,
-                  n_starts: int = 5, rng: Optional[np.random.Generator] = None) -> float:
+def selective_mle(model: SelectiveModel, y,
+                  rng: Optional[np.random.Generator] = None) -> float:
     """Maximize the selective log likelihood of a one-parameter family.
 
     A bounded scalar search over the one param_space interval, then
@@ -411,10 +407,10 @@ def selective_mle(model: SelectiveModel, y, x0=None, seed: int = 0,
     outside the box leaves the bounded value, and so does a Monte Carlo
     normalizer, whose generator is rebuilt at every evaluation from one
     seed drawn from rng, so every theta sees the same noise (common random
-    numbers). x0, seed and n_starts are ignored. Raises ValueError for a
-    param_space of more than one interval, DatumNotSelectedError, and
-    DivergentMLEError when the optimum sits at an end of the box, or of the
-    region where phi >= PHI_FLOOR, with the likelihood still rising outward.
+    numbers). Raises ValueError for a param_space of more than one
+    interval, DatumNotSelectedError, and DivergentMLEError when the optimum
+    sits at an end of the box, or of the region where phi >= PHI_FLOOR, with
+    the likelihood still rising outward.
     """
     if len(model.family.param_space) != 1:
         raise ValueError("selective_mle needs a param_space of one interval")

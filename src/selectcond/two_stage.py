@@ -263,15 +263,12 @@ def _conditional_mle(data: TwoStageData) -> float:
 def _unconditional_score(theta: float, data: TwoStageData,
                          prior: SampleSizePrior) -> float:
     z = data.threshold
-    log_terms, dlog_terms = [], []
-    for k, p in zip(prior.support, prior.probs):
-        if p <= 0:
-            continue
-        rk = math.sqrt(k)
-        log_terms.append(math.log(p) + float(log_ndtr(theta * rk - z)))
-        dlog_terms.append(math.log(p) + float(std_normal_log_pdf(theta * rk - z))
-                          + 0.5 * math.log(k))
-    dlog_mix = math.exp(_logsumexp(dlog_terms) - _logsumexp(log_terms))
+    dlog_terms = [
+        math.log(p) + float(std_normal_log_pdf(theta * math.sqrt(k) - z)) + 0.5 * math.log(k)
+        for k, p in zip(prior.support, prior.probs)
+        if p > 0
+    ]
+    dlog_mix = math.exp(_logsumexp(dlog_terms) - _log_mixture_sel_prob(prior, theta, z))
     return data.total_sum - data.n * theta - dlog_mix
 
 

@@ -138,21 +138,11 @@ def winner_probabilities(theta, sigma: float = 1.0) -> np.ndarray:
 
 # conditional-on-losers model: closed-form truncated Gaussian in log space
 
-def _log_sf(z: float) -> float:
-    return float(log_ndtr(-z))
-
-
-def _conditional_cdf(t: float, c: float, sigma: float, theta: float) -> float:
-    """P_theta(T <= t | T > c) for T ~ N(theta, sigma^2)."""
-    zt = (t - theta) / sigma
-    zc = (c - theta) / sigma
-    return -math.expm1(min(_log_sf(zt) - _log_sf(zc), 0.0))
-
-
-def _conditional_sf(t: float, c: float, sigma: float, theta: float) -> float:
-    zt = (t - theta) / sigma
-    zc = (c - theta) / sigma
-    return math.exp(min(_log_sf(zt) - _log_sf(zc), 0.0))
+def _log_conditional_sf(t: float, c: float, sigma: float, theta: float) -> float:
+    """log P_theta(T > t | T > c) for T ~ N(theta, sigma^2), capped at 0."""
+    log_sf_t = float(log_ndtr(-((t - theta) / sigma)))
+    log_sf_c = float(log_ndtr(-((c - theta) / sigma)))
+    return min(log_sf_t - log_sf_c, 0.0)
 
 
 def _conditional_score(theta: float, t: float, c: float, sigma: float) -> float:
@@ -170,10 +160,10 @@ def _conditional_mle(t: float, c: float, sigma: float) -> float:
 
 def _infer_conditional(t: float, c: float, sigma: float, level: float) -> InferenceResult:
     diagnostics = {"normalizer": "truncated-gaussian closed form"}
-    pvalue = _conditional_sf(t, c, sigma, 0.0)
+    pvalue = math.exp(_log_conditional_sf(t, c, sigma, 0.0))
 
     def cdf(th):
-        return _conditional_cdf(t, c, sigma, th)
+        return -math.expm1(_log_conditional_sf(t, c, sigma, th))
 
     limit = 50.0 * max(1.0, sigma) + abs(t)
     if t - c <= _BOUNDARY_TOL * max(1.0, abs(c)):

@@ -16,6 +16,7 @@ from selectcond.harness import (
     parse_config,
     rows_to_csv,
     run,
+    summarize,
     verify_summary,
     write_outputs,
 )
@@ -182,6 +183,33 @@ class TestScenarioSmoke:
         assert len(rows) == 1
         assert rows[0]["flags"] == "error=ZeroDivisionError"
         assert math.isnan(rows[0]["covered"])
+
+
+    @pytest.mark.parametrize("scenario, kinds, pair_stat", [
+        ("winners-compare", ("full-vector", "conditional-on-losers"), "median_length_ratio"),
+        ("two-stage-compare", ("conditional", "unconditional"), "mean_abs_estimate_delta"),
+    ])
+    def test_compare_summary_of_failed_reps_reports_both_kinds(self, scenario, kinds,
+                                                               pair_stat):
+        from selectcond.harness import scenarios
+
+        def boom(params, seed, rep):
+            raise ZeroDivisionError("injected")
+
+        scenarios._REPLICATORS["__boom__"] = boom
+        try:
+            rows = [row for rep in range(3)
+                    for row in scenarios.run_replication("__boom__", {}, 1, rep)]
+        finally:
+            del scenarios._REPLICATORS["__boom__"]
+        summary = summarize(scenario, {"level": 0.9}, rows)
+        assert summary["n_rows"] == 3
+        for kind in kinds:
+            assert math.isnan(summary[f"coverage[{kind}]"])
+            assert math.isnan(summary[f"median_length[{kind}]"])
+        assert math.isnan(summary[pair_stat])
+        if scenario == "winners-compare":
+            assert summary["n_length_ratios"] == 0
 
 
 class TestKsUniform:

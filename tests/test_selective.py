@@ -126,7 +126,7 @@ class TestSelectiveMle:
         y = rng.normal(1.3, 1.0, size=12)
         m = SelectiveModel(gaussian_iid(12), always_selected(),
                            normalizer=ClosedFormNormalizer(lambda th: 1.0))
-        est = selective_mle(m, y, x0=float(np.mean(y)))
+        est = selective_mle(m, y)
         assert est == pytest.approx(float(np.mean(y)), abs=1e-6)
 
     def test_threshold_selection_grid_oracle(self):
@@ -135,22 +135,22 @@ class TestSelectiveMle:
         loglik = norm.logpdf(2.0 - thetas) - norm.logsf(1.645 - thetas)
         oracle = float(thetas[np.argmax(loglik)])
         m = SelectiveModel(scalar_gaussian(), indicator_above(1.645))
-        est = selective_mle(m, 2.0, x0=2.0)
+        est = selective_mle(m, 2.0)
         assert est < 2.0
         assert est == pytest.approx(oracle, abs=2e-4)
 
     def test_two_sided_selection_sign_symmetry(self):
         m = SelectiveModel(scalar_gaussian(), indicator_two_sided(1.5))
-        est_pos = selective_mle(m, 2.2, x0=2.2)
-        est_neg = selective_mle(m, -2.2, x0=-2.2)
+        est_pos = selective_mle(m, 2.2)
+        est_neg = selective_mle(m, -2.2)
         assert est_pos == pytest.approx(-est_neg, abs=1e-6)
 
     def test_location_shift_equivariance(self):
         delta = 1.3
         m0 = SelectiveModel(scalar_gaussian(), indicator_above(1.0))
         m1 = SelectiveModel(scalar_gaussian(), indicator_above(1.0 + delta))
-        est0 = selective_mle(m0, 1.8, x0=1.8)
-        est1 = selective_mle(m1, 1.8 + delta, x0=1.8 + delta)
+        est0 = selective_mle(m0, 1.8)
+        est1 = selective_mle(m1, 1.8 + delta)
         assert est1 - est0 == pytest.approx(delta, abs=1e-6)
 
     def test_mle_past_phi_floor_is_divergent(self):
