@@ -135,17 +135,11 @@ def _line_interval(poly: Polyhedron, target: LinearTarget, y: np.ndarray):
 
 def truncation_bounds(poly: Polyhedron, target: LinearTarget, y) -> tuple:
     """Interval [V-, V+] of target values consistent with the event at y."""
-    y = np.asarray(y, dtype=float)
-    if not poly.contains(y):
-        raise ValueError("y is infeasible for the polyhedron")
-    iv = _line_interval(poly, target, y)
-    if iv is None:
-        raise ValueError("event empty along target")
-    lo, hi = iv
+    lo, hi = truncation_intervals(poly, target, y)[0]
     t_obs = target.statistic(y)
     if not lo - FEASIBILITY_SLACK <= t_obs <= hi + FEASIBILITY_SLACK:
         raise ValueError("observed statistic escaped its truncation interval")
-    return iv
+    return (lo, hi)
 
 
 def _as_polyhedra(events):
@@ -165,6 +159,8 @@ def truncation_intervals(events, target: LinearTarget, y) -> tuple:
         iv = _line_interval(p, target, y)
         if iv is not None:
             ivs.append(iv)
+    if not ivs:
+        raise ValueError("event empty along target")
     ivs.sort()
     merged = [list(ivs[0])]
     for lo, hi in ivs[1:]:

@@ -47,8 +47,10 @@ PHI_FLOOR = 1e-300
 _LOG_PHI_FLOOR = math.log(PHI_FLOOR)
 # negative log likelihood where phi underflows PHI_FLOOR or the density is not finite
 _UNSUPPORTED_NLL = 1e30
-# quadrature panels per width of the family's integration window
+# quadrature panels per width of the family's integration window, and
+# Gauss-Legendre nodes per panel
 _PANELS_PER_WINDOW = 10
+_PANEL_NODES = 64
 
 
 class UnsupportedSelectionError(ValueError):
@@ -222,8 +224,7 @@ class ClosedFormNormalizer:
 
 @dataclass(frozen=True)
 class QuadratureNormalizer:
-    # nodes sets the Gauss-Legendre nodes per panel of the log-space quadrature
-    nodes: int = 64
+    """Log-space Gauss-Legendre panels over the family's integration window."""
 
 
 @dataclass(frozen=True)
@@ -349,7 +350,7 @@ def _log_phi(model: SelectiveModel, theta,
     """log phi(theta); UnsupportedSelectionError when phi < PHI_FLOOR."""
     if isinstance(model.normalizer, QuadratureNormalizer):
         log_phi = log_integral_panels(_log_integrand(model, theta),
-                                      _panel_edges(model, theta), model.normalizer.nodes)
+                                      _panel_edges(model, theta), _PANEL_NODES)
     else:
         value = _normalizer_value(model, theta, rng)
         log_phi = math.log(value) if value > 0.0 else -math.inf
@@ -386,12 +387,12 @@ def selective_cdf(model: SelectiveModel, y: float, theta,
     edges = _panel_edges(model, theta)
     cut = min(max(float(y), edges[0]), edges[-1])
     log_f = _log_integrand(model, theta)
-    nodes = getattr(model.normalizer, "nodes", QuadratureNormalizer.nodes)
-    log_num = log_integral_panels(log_f, np.append(edges[edges < cut], cut), nodes)
+    log_num = log_integral_panels(log_f, np.append(edges[edges < cut], cut), _PANEL_NODES)
     if isinstance(model.normalizer, ClosedFormNormalizer):
         log_den = _log_phi(model, theta)
     else:
-        log_up = log_integral_panels(log_f, np.insert(edges[edges > cut], 0, cut), nodes)
+        log_up = log_integral_panels(log_f, np.insert(edges[edges > cut], 0, cut),
+                                     _PANEL_NODES)
         log_den = float(np.logaddexp(log_num, log_up))
     if log_den == -math.inf:
         raise UnsupportedSelectionError("unsupported selection")
@@ -514,8 +515,7 @@ def solve_monotone(g, center: float, step: float, limit: float,
 
 
 def invert_monotone_cdf(cdf_in_theta, observed_level: float, center: float,
-                        step: float = 1.0, limit: float = 50.0,
-                        xtol: float = 1e-8) -> float:
+                        step: float = 1.0, limit: float = 50.0) -> float:
     """Solve cdf(theta) = observed_level for a CDF decreasing in theta;
     UnboundedCIError when the solution lies outside |theta| <= limit.
 
@@ -524,7 +524,7 @@ def invert_monotone_cdf(cdf_in_theta, observed_level: float, center: float,
     maps to -inf or +inf, which keeps the sign."""
     z = float(ndtri(observed_level))
     root = solve_monotone(lambda th: float(ndtri(cdf_in_theta(th))) - z,
-                          center, step, limit, xtol, 1e-14)
+                          center, step, limit, 1e-8, 1e-14)
     if math.isinf(root):
         raise UnboundedCIError(root)
     return root
@@ -559,14 +559,13 @@ def invert_equal_tailed(cdf_in_theta, level: float, center: float,
 
 
 def selective_ci(model: SelectiveModel, y: float, level: float = 0.95,
-                 rng: Optional[np.random.Generator] = None,
-                 theta_limit: float = 50.0) -> tuple:
+                 rng: Optional[np.random.Generator] = None) -> tuple:
     """Equal-tailed CI for a scalar parameter by inversion of the selective CDF.
 
     Valid for scalar targets with a selective CDF monotone (decreasing) in
     the parameter, which covers every 1-D Gaussian-derived model here. An
-    endpoint beyond |theta| = theta_limit is reported as -inf or +inf, as
-    in invert_equal_tailed.
+    endpoint beyond |theta| = 50 is reported as -inf or +inf, as in
+    invert_equal_tailed.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
@@ -579,4 +578,4 @@ def selective_ci(model: SelectiveModel, y: float, level: float = 0.95,
             # degenerates toward the near edge of the selection region
             return 1.0 if float(np.atleast_1d(th)[0]) < y else 0.0
 
-    return invert_equal_tailed(cdf, level, float(y), limit=theta_limit)
+    return invert_equal_tailed(cdf, level, float(y))

@@ -4,7 +4,8 @@ File-drawer screening (a first-stage test decides whether a second stage
 is collected) and the random-sample-size variant, under both
 conditioning choices: conditioning on selection jointly with the random
 sample size, or conditioning on selection after the sample size has been
-observed. Observations are N(theta, 1); the stage-1 test selects when
+observed, which is the first choice under a point-mass prior at the
+observed size. Observations are N(theta, 1); the stage-1 test selects when
 sum(stage1) > z * sqrt(n1).
 """
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr
 
 from ._quad import log_integral_panels
 from .distributions import _log_interval_mass, _logsumexp, mills_ratio, std_normal_log_pdf
@@ -124,12 +125,9 @@ def _log_sel_prob(theta: float, n1: int, z: float) -> float:
 
 
 def _log_mixture_sel_prob(prior: SampleSizePrior, theta: float, z: float) -> float:
-    terms = [
-        math.log(p) + _log_sel_prob(theta, k, z)
-        for k, p in zip(prior.support, prior.probs)
-        if p > 0
-    ]
-    return _logsumexp(terms)
+    """log P_theta(selection) with n1 drawn from prior."""
+    return _logsumexp([math.log(p) + _log_sel_prob(theta, k, z)
+                       for k, p in zip(prior.support, prior.probs) if p > 0])
 
 
 def _gaussian_loglik(data: TwoStageData, theta: float) -> float:
@@ -155,38 +153,25 @@ def unconditional_loglik(data: TwoStageData, prior: SampleSizePrior,
 
 
 def conditional_loglik(data: TwoStageData, theta: float) -> float:
-    """Log likelihood conditioning on selection after the sample size.
-
-    The sample-size prior enters only as an additive constant, so it
-    cancels from every inference; it is omitted here.
-    """
-    denom = _log_sel_prob(theta, data.n1, data.threshold)
-    if denom == -math.inf:
-        raise ValueError("selection probability vanishes")
-    return _gaussian_loglik(data, theta) - denom
+    """Log likelihood conditioning on selection after the sample size: the
+    unconditional one under a point-mass prior at the observed n1."""
+    return unconditional_loglik(data, SampleSizePrior.point_mass(data.n1), theta)
 
 
 def sample_size_pmf_given_selection(prior: SampleSizePrior, theta: float,
                                     threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
     """Post-selection pmf of n1: proportional to prior * Phi(theta*sqrt(n1) - z)."""
-    weights = prior.probs * ndtr(
-        theta * np.sqrt(np.array(prior.support, dtype=float)) - threshold
-    )
-    total = float(weights.sum())
-    if total <= 0.0:
-        # deep negative theta underflows linearly; renormalize in log space
-        logs = np.array([
-            (math.log(p) if p > 0 else -math.inf) + _log_sel_prob(theta, k, threshold)
-            for k, p in zip(prior.support, prior.probs)
-        ])
-        if np.all(np.isneginf(logs)):
-            raise ValueError("all selection-weighted masses are zero")
-        return np.exp(logs - _logsumexp(logs))
-    return weights / total
+    logs = np.array([
+        (math.log(p) if p > 0 else -math.inf) + _log_sel_prob(theta, k, threshold)
+        for k, p in zip(prior.support, prior.probs)
+    ])
+    if np.all(np.isneginf(logs)):
+        raise ValueError("all selection-weighted masses are zero")
+    return np.exp(logs - _logsumexp(logs))
 
 
-# inference: the total sum S is sufficient in the conditional model, and
-# its selective law is (truncated stage-1 sum) + (independent stage-2 sum)
+# inference: the total sum S is sufficient given n1, and its selective law
+# is (truncated stage-1 sum) + (independent stage-2 sum), mixed over n1
 
 def _log_sum_cdf_numerator(s: float, n1: int, n2: int, theta: float,
                            z: float) -> float:
@@ -225,54 +210,46 @@ def _log_sum_cdf_numerator(s: float, n1: int, n2: int, theta: float,
     return log_integral_panels(log_f, breaks, nodes=32)
 
 
-def _conditional_sum_cdf(s: float, n1: int, n2: int, theta: float, z: float) -> float:
-    """P_theta(S <= s | selection, n1) for the total sum S."""
-    log_den = _log_sel_prob(theta, n1, z)
+def _sum_cdf(s: float, prior: SampleSizePrior, n2: int, theta: float, z: float) -> float:
+    """P_theta(S <= s | selection) for the total sum S, n1 drawn from prior."""
+    log_den = _log_mixture_sel_prob(prior, theta, z)
     if log_den == -math.inf:
         raise ValueError("selection probability vanishes")
-    log_num = _log_sum_cdf_numerator(s, n1, n2, theta, z)
+    log_num = _logsumexp([
+        math.log(p) + _log_sum_cdf_numerator(s, k, n2, theta, z)
+        for k, p in zip(prior.support, prior.probs)
+        if p > 0
+    ])
     return math.exp(min(log_num - log_den, 0.0))
 
 
-def _unconditional_sum_cdf(s: float, prior: SampleSizePrior, n2: int,
-                           theta: float, z: float) -> float:
-    """Mixture CDF of the total sum with n1 marginalized over its selective pmf."""
-    w = sample_size_pmf_given_selection(prior, theta, z)
-    val = 0.0
-    for k, wk in zip(prior.support, w):
-        if wk > 0:
-            val += wk * _conditional_sum_cdf(s, k, n2, theta, z)
-    return min(1.0, val)
-
-
-def _conditional_score(theta: float, data: TwoStageData) -> float:
-    root_n1 = math.sqrt(data.n1)
-    return (data.total_sum - data.n * theta
-            - root_n1 * mills_ratio(data.threshold - theta * root_n1))
+def _score(theta: float, data: TwoStageData, prior: SampleSizePrior) -> float:
+    """d/dtheta of unconditional_loglik; the derivative of the log mixture
+    selection probability averages sqrt(k) * hazard over the selective pmf."""
+    z = data.threshold
+    log_den = _log_mixture_sel_prob(prior, theta, z)
+    dlog_den = sum(
+        math.exp(math.log(p) + _log_sel_prob(theta, k, z) - log_den)
+        * math.sqrt(k) * mills_ratio(z - theta * math.sqrt(k))
+        for k, p in zip(prior.support, prior.probs)
+        if p > 0
+    )
+    return data.total_sum - data.n * theta - dlog_den
 
 
 def _conditional_mle(data: TwoStageData) -> float:
+    # strictly concave (second derivative below -n2 <= 0): one score root
+    prior = SampleSizePrior.point_mass(data.n1)
     raw = data.total_sum / data.n
-    est = solve_monotone(lambda th: _conditional_score(th, data), raw, 1.0,
+    est = solve_monotone(lambda th: _score(th, data, prior), raw, 1.0,
                          abs(raw) + 1e4, 1e-10, 1e-15)
     if math.isinf(est):
         raise RuntimeError("conditional MLE bracket failed")
     return est
 
 
-def _unconditional_score(theta: float, data: TwoStageData,
-                         prior: SampleSizePrior) -> float:
-    z = data.threshold
-    dlog_terms = [
-        math.log(p) + float(std_normal_log_pdf(theta * math.sqrt(k) - z)) + 0.5 * math.log(k)
-        for k, p in zip(prior.support, prior.probs)
-        if p > 0
-    ]
-    dlog_mix = math.exp(_logsumexp(dlog_terms) - _log_mixture_sel_prob(prior, theta, z))
-    return data.total_sum - data.n * theta - dlog_mix
-
-
 def _unconditional_mle(data: TwoStageData, prior: SampleSizePrior) -> float:
+    # a mixture likelihood is only sure to be concave when n >= max(support)
     def neg(theta):
         return -unconditional_loglik(data, prior, theta)
 
@@ -281,18 +258,26 @@ def _unconditional_mle(data: TwoStageData, prior: SampleSizePrior) -> float:
     res = optimize.minimize_scalar(neg, bounds=(raw - span - 3.0, raw + span + 3.0),
                                    method="bounded", options={"xatol": 1e-8})
     theta = float(res.x)
-    # polish on the analytic score; bounded minimization stalls near sqrt(eps)
-    polished = solve_monotone(lambda th: _unconditional_score(th, data, prior), theta,
-                              1e-6, abs(raw) + span + 3.0, 1e-12, 1e-15)
+    # polish on the score: the bounded search stalls near sqrt(eps) and at its box
+    polished = solve_monotone(lambda th: _score(th, data, prior), theta,
+                              1e-6, abs(raw) + 1e4, 1e-12, 1e-15)
     return polished if math.isfinite(polished) else theta
 
 
-def _invert_sum_cdf(cdf, data: TwoStageData, level: float, center: float,
-                    diagnostics: dict) -> tuple:
+def _infer(data: TwoStageData, prior: SampleSizePrior, est: float, level: float,
+           kind: str, denominator: str) -> InferenceResult:
+    """Equal-tailed CI and p-value (theta = 0) from the law of the total sum."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    return invert_equal_tailed(cdf, level, center, step=1.0 / math.sqrt(data.n),
-                               limit=50.0 + abs(center), diagnostics=diagnostics)
+    s = data.total_sum
+
+    def cdf(theta):
+        return _sum_cdf(s, prior, data.n2, theta, data.threshold)
+
+    diagnostics = {"denominator": denominator}
+    ci = invert_equal_tailed(cdf, level, est, step=1.0 / math.sqrt(data.n),
+                             limit=50.0 + abs(est), diagnostics=diagnostics)
+    return InferenceResult(est, ci, 1.0 - cdf(0.0), kind, diagnostics)
 
 
 @dataclass
@@ -304,30 +289,14 @@ class TwoStageComparison:
 
 
 def infer_conditional(data: TwoStageData, level: float = 0.9) -> InferenceResult:
-    s = data.total_sum
-    est = _conditional_mle(data)
-
-    def cdf(theta):
-        return _conditional_sum_cdf(s, data.n1, data.n2, theta, data.threshold)
-
-    diagnostics = {"denominator": "selection prob at observed n1"}
-    ci = _invert_sum_cdf(cdf, data, level, est, diagnostics)
-    pvalue = 1.0 - cdf(0.0)
-    return InferenceResult(est, ci, pvalue, "two-stage-conditional", diagnostics)
+    return _infer(data, SampleSizePrior.point_mass(data.n1), _conditional_mle(data),
+                  level, "two-stage-conditional", "selection prob at observed n1")
 
 
 def infer_unconditional(data: TwoStageData, prior: SampleSizePrior,
                         level: float = 0.9) -> InferenceResult:
-    s = data.total_sum
-    est = _unconditional_mle(data, prior)
-
-    def cdf(theta):
-        return _unconditional_sum_cdf(s, prior, data.n2, theta, data.threshold)
-
-    diagnostics = {"denominator": "selection prob mixed over prior"}
-    ci = _invert_sum_cdf(cdf, data, level, est, diagnostics)
-    pvalue = 1.0 - cdf(0.0)
-    return InferenceResult(est, ci, pvalue, "two-stage-unconditional", diagnostics)
+    return _infer(data, prior, _unconditional_mle(data, prior), level,
+                  "two-stage-unconditional", "selection prob mixed over prior")
 
 
 def compare_two_stage_inference(data: TwoStageData, prior: SampleSizePrior,

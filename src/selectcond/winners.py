@@ -98,6 +98,13 @@ def _log_win_integral(lo: float, hi: float, theta1: float, others: np.ndarray,
     )
 
 
+def _window(theta1: float, others: np.ndarray, sigma: float) -> tuple:
+    """Where the winner's selected law lives: 12 sigma below theta1, and
+    12 sigma above the largest mean, since larger nuisance means push it up."""
+    return (theta1 - _WINDOW_SIGMAS * sigma,
+            max(theta1, float(np.max(others))) + _WINDOW_SIGMAS * sigma)
+
+
 def log_normalizer_full(theta, sigma: float = 1.0) -> float:
     """log P_theta(Y_1 > Y_i for all i > 1) for independent N(theta_i, sigma^2)."""
     th = np.asarray(theta, dtype=float)
@@ -106,7 +113,7 @@ def log_normalizer_full(theta, sigma: float = 1.0) -> float:
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     t1 = float(th[0])
-    lo, hi = t1 - _WINDOW_SIGMAS * sigma, t1 + _WINDOW_SIGMAS * sigma
+    lo, hi = _window(t1, th[1:], sigma)
     return _log_win_integral(lo, hi, t1, th[1:], sigma)
 
 
@@ -185,8 +192,7 @@ def _infer_conditional(t: float, c: float, sigma: float, level: float) -> Infere
 def _full_cdf(t: float, nuisance_means: np.ndarray, sigma: float,
               theta1: float) -> float:
     """P_theta1(T <= t | T wins) with the non-selected means plugged in."""
-    lo = theta1 - _WINDOW_SIGMAS * sigma
-    hi = theta1 + _WINDOW_SIGMAS * sigma
+    lo, hi = _window(theta1, nuisance_means, sigma)
     if t <= lo:
         return 0.0
     if t >= hi:
@@ -205,7 +211,7 @@ def _joint_negloglik_grad(th: np.ndarray, y: np.ndarray, sigma: float):
     """
     t1 = th[0]
     nuis = th[1:]
-    lo, hi = t1 - _WINDOW_SIGMAS * sigma, t1 + _WINDOW_SIGMAS * sigma
+    lo, hi = _window(t1, nuis, sigma)
     glx, log_glw = _leggauss(_GL_NODES)
     half = 0.5 * (hi - lo)
     pts = 0.5 * (hi + lo) + half * glx

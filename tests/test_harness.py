@@ -9,6 +9,7 @@ import pytest
 from selectcond.harness import (
     ConfigError,
     ROW_COLUMNS,
+    RunResult,
     config_schema,
     csv_to_rows,
     ks_uniform,
@@ -130,6 +131,11 @@ class TestRowsAndSummary:
         ):
             res = run(cfg)
             assert verify_summary(res)
+
+    def test_summary_one_ulp_off_fails_verification(self):
+        res = run(winners_cfg())
+        moved = dict(res.summary, coverage=math.nextafter(res.summary["coverage"], 2.0))
+        assert not verify_summary(RunResult(res.config, res.rows, moved))
 
     def test_write_outputs(self, tmp_path):
         res = run(winners_cfg(n_reps=5))

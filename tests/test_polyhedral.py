@@ -110,6 +110,18 @@ class TestTruncationBounds:
         ivs = truncation_intervals([poly_ok, poly_off], tgt, y)
         assert ivs == ((0.0, INF),)
 
+    def test_line_touching_event_in_one_point_errors(self):
+        # y = 0 is feasible, but the event meets the target line only at 0
+        poly = Polyhedron([[1.0], [-1.0]], [0.0, 0.0])
+        tgt = LinearTarget([1.0])
+        y = np.array([0.0])
+        for call in (lambda: truncation_bounds(poly, tgt, y),
+                     lambda: truncation_intervals(poly, tgt, y),
+                     lambda: selective_pvalue_linear(poly, tgt, y, 1.0),
+                     lambda: selective_ci_linear(poly, tgt, y, 1.0, 0.9)):
+            with pytest.raises(ValueError, match="event empty along target"):
+                call()
+
 
 class TestSelectivePValue:
     def test_boundary_observation(self):

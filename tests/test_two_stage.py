@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import log_ndtr, ndtr
 
 from selectcond.two_stage import (
@@ -149,6 +150,17 @@ class TestCompare:
         pair = compare_two_stage_inference(data, SampleSizePrior.point_mass(12), 0.9)
         assert abs(pair.estimate_delta) <= 1e-10
         assert abs(pair.length_delta) <= 1e-8
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(0.0, 1.5), st.integers(1, 30), st.integers(0, 30),
+           st.integers(0, 2**32 - 1))
+    def test_point_mass_inference_equals_conditional(self, theta, n1, n2, seed):
+        data = make_selected(theta, n1, n2, seed)
+        cond = infer_conditional(data, 0.9)
+        unc = infer_unconditional(data, SampleSizePrior.point_mass(n1), 0.9)
+        assert unc.pvalue == cond.pvalue
+        # the two MLE routes give slightly different CI centers
+        assert unc.ci == pytest.approx(cond.ci, abs=1e-7)
 
     def test_dispersed_prior_moves_estimate(self):
         prior = SampleSizePrior((5, 10, 20), np.array([0.3, 0.4, 0.3]))

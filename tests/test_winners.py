@@ -5,7 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import ndtr
+from scipy import integrate
+from scipy.special import log_ndtr, ndtr
 
 from selectcond.harness.scenarios import ks_uniform
 from selectcond.winners import (
@@ -63,6 +64,26 @@ class TestNormalizerFull:
         est = wins / n
         se = math.sqrt(est * (1 - est) / n)
         assert abs(normalizer_full(theta) - est) <= 3.0 * se
+
+    def test_nuisance_means_above_theta1_against_quad(self):
+        # the nuisance means pull the selected law's mode to about 4.1,
+        # 15.6 sigma above theta1 and outside theta1 +- 12 sigma
+        theta = np.array([-11.5, 9.0, 9.0, 8.0, 5.0])
+        shift = 160.0  # keeps quad's integrand above underflow
+
+        def f(t):
+            return math.exp(shift - 0.5 * (t - theta[0]) ** 2 - 0.5 * math.log(2 * math.pi)
+                            + float(np.sum(log_ndtr(t - theta[1:]))))
+
+        pts = [-20.0, -15.0, -12.0, -10.0, -5.0, 0.0, 5.0, 10.0]
+        below = integrate.quad(f, -40.0, 0.0, points=pts[:5], epsabs=0.0, epsrel=1e-13,
+                               limit=500)[0]
+        above = integrate.quad(f, 0.0, 40.0, points=pts[6:], epsabs=0.0, epsrel=1e-13,
+                               limit=500)[0]
+        total = (below + above) * math.exp(-shift)
+        assert normalizer_full(theta) == pytest.approx(total, rel=1e-12)
+        assert _full_cdf(0.0, theta[1:], 1.0, theta[0]) == pytest.approx(
+            below / (below + above), rel=1e-10)
 
     def test_rejects_single(self):
         with pytest.raises(ValueError):
