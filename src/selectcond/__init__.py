@@ -26,8 +26,8 @@ from .selective import (
     QuadratureNormalizer,
     SelectionFunction,
     SelectiveModel,
-    UnboundedCIError,
     UnsupportedSelectionError,
+    equal_tailed_inference,
     randomized_selection_prob,
     selection_probability,
     selective_cdf,

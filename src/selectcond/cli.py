@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 numeric failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -112,14 +113,7 @@ def _read_numbers(source: str) -> np.ndarray:
 
 
 def _result_json(res: InferenceResult) -> str:
-    doc = {
-        "estimate": res.estimate,
-        "ci": list(res.ci),
-        "pvalue": res.pvalue,
-        "model_kind": res.model_kind,
-        "diagnostics": {k: v for k, v in res.diagnostics.items()},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True, default=str)
+    return json.dumps(dataclasses.asdict(res), indent=2, sort_keys=True, default=str)
 
 
 def _cmd_simulate(args) -> int:

@@ -143,18 +143,14 @@ def _two_stage_rep(params, seed, rep):
     z = params.get("threshold", ts.DEFAULT_THRESHOLD)
     n2 = params["n2"]
     support = np.array(prior.support)
-    if params["regime"] == "joint":
-        while True:
+    n1 = int(rng.choice(support, p=prior.probs))
+    while True:
+        stage1 = theta + rng.standard_normal(n1)
+        if stage1.sum() > z * math.sqrt(n1):
+            break
+        # the joint regime conditions on selection jointly with n1
+        if params["regime"] == "joint":
             n1 = int(rng.choice(support, p=prior.probs))
-            stage1 = theta + rng.standard_normal(n1)
-            if stage1.sum() > z * math.sqrt(n1):
-                break
-    else:
-        n1 = int(rng.choice(support, p=prior.probs))
-        while True:
-            stage1 = theta + rng.standard_normal(n1)
-            if stage1.sum() > z * math.sqrt(n1):
-                break
     stage2 = theta + rng.standard_normal(n2)
     data = ts.TwoStageData(stage1, stage2, z)
     pair = ts.compare_two_stage_inference(data, prior, params["level"])

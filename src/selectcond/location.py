@@ -21,7 +21,7 @@ from scipy.special import ndtri
 from ._quad import log_integral_panels
 from .distributions import std_normal_log_pdf
 from .results import InferenceResult
-from .selective import invert_equal_tailed, solve_monotone
+from .selective import equal_tailed_inference, solve_monotone
 
 __all__ = [
     "LocationFamily",
@@ -203,15 +203,15 @@ def conditional_density_constant(theta: float, conf: Configuration,
 def location_pvalue(conf: Configuration, fam: LocationFamily,
                     null_value: float = 0.0) -> float:
     """One-sided p-value u(t, a) for theta = null_value given the configuration."""
-    log_tail = _log_tail_mass(conf.theta_hat - null_value, conf.residuals, fam)
-    log_total = _log_total_mass(conf.residuals, fam)
-    return min(1.0, math.exp(log_tail - log_total))
+    return min(1.0, math.exp(_log_tail_mass(conf.theta_hat - null_value, conf.residuals, fam)
+                             - _log_total_mass(conf.residuals, fam)))
 
 
-def _selection_cutoff(alpha: float, residuals: np.ndarray, fam: LocationFamily) -> float:
+def _selection_cutoff(alpha: float, residuals: np.ndarray, fam: LocationFamily,
+                      log_total: float) -> float:
     """The t above which u(t, a) <= alpha under a zero null: one quantile
     solve per dataset; other null values shift the cutoff exactly."""
-    log_target = math.log(alpha) + _log_total_mass(residuals, fam)
+    log_target = math.log(alpha) + log_total
 
     def h(t):
         return _log_tail_mass(t, residuals, fam) - log_target
@@ -236,27 +236,26 @@ def selective_location_inference(conf: Configuration, fam: LocationFamily,
     """
     if not 0.0 < selection_alpha <= 1.0:
         raise ValueError("selection_alpha must be in (0, 1]")
-    if not 0.0 < ci_level < 1.0:
-        raise ValueError("ci_level must be in (0, 1)")
     a = conf.residuals
     t = conf.theta_hat
-    u_obs = location_pvalue(conf, fam, null_value)
-    if u_obs > selection_alpha:
-        raise ValueError("datum inconsistent with selection event: u > alpha")
-    if selection_alpha == 1.0:
-        t_alpha = -math.inf
-    else:
-        t_alpha = null_value + _selection_cutoff(selection_alpha, a, fam)
-
     log_total = _log_total_mass(a, fam)
 
     def log_tail(x):
         return _log_tail_mass(x, a, fam)
 
-    def cdf(theta):
-        num = log_tail(t - theta)
-        den = log_tail(t_alpha - theta) if t_alpha != -math.inf else log_total
-        return -math.expm1(min(num - den, 0.0))
+    if min(1.0, math.exp(log_tail(t - null_value) - log_total)) > selection_alpha:
+        raise ValueError("datum inconsistent with selection event: u > alpha")
+    if selection_alpha == 1.0:
+        t_alpha = -math.inf
+    else:
+        t_alpha = null_value + _selection_cutoff(selection_alpha, a, fam, log_total)
+
+    def log_den(theta):
+        return log_tail(t_alpha - theta) if t_alpha != -math.inf else log_total
+
+    def tail(theta, upper):
+        log_sf = min(log_tail(t - theta) - log_den(theta), 0.0)
+        return math.exp(log_sf) if upper else -math.expm1(log_sf)
 
     diagnostics = {"selection_cutoff": t_alpha, "selection_alpha": selection_alpha}
     if t_alpha != -math.inf and t - t_alpha <= 1e-12 * max(1.0, abs(t_alpha)):
@@ -264,9 +263,7 @@ def selective_location_inference(conf: Configuration, fam: LocationFamily,
         estimate = -math.inf
     else:
         def negloglik(theta):
-            dens = float(np.sum(fam.log_g(a + (t - theta))))
-            den = log_tail(t_alpha - theta) if t_alpha != -math.inf else log_total
-            return -(dens - den)
+            return -(float(np.sum(fam.log_g(a + (t - theta)))) - log_den(theta))
 
         span = 30.0 * fam.scale
         res = optimize.minimize_scalar(negloglik, bounds=(t - span, t + 10.0 * fam.scale),
@@ -280,10 +277,5 @@ def selective_location_inference(conf: Configuration, fam: LocationFamily,
             diagnostics["flags"] = ["divergent-mle"]
             estimate = -math.inf
 
-    scale = fam.scale / math.sqrt(conf.n)
-    limit = 50.0 * max(1.0, fam.scale) + abs(t)
-    ci = invert_equal_tailed(cdf, ci_level, t, step=scale, limit=limit,
-                             diagnostics=diagnostics)
-    pvalue = min(1.0, u_obs / selection_alpha)
-    return InferenceResult(estimate, ci, pvalue, f"location-{fam.name}",
-                           diagnostics)
+    return equal_tailed_inference(tail, ci_level, t, fam.scale / math.sqrt(conf.n), estimate,
+                                  f"location-{fam.name}", diagnostics, null_value)

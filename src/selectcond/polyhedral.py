@@ -221,8 +221,6 @@ def selective_ci_linear(events, target: LinearTarget, y, sigma2: float,
     truncation interval pushes the matching endpoint outside the box, and
     that endpoint is reported as infinite (flagged via diagnostics).
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
     intervals = truncation_intervals(events, target, y)
     sd = math.sqrt(sigma2) * math.sqrt(target.norm_sq)
     t = _clamp_into(target.statistic(np.asarray(y, dtype=float)), intervals)

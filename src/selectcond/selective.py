@@ -18,6 +18,7 @@ from scipy.special import ndtr, ndtri
 
 from ._quad import log_integral_panels
 from .distributions import std_normal_log_pdf
+from .results import InferenceResult
 
 __all__ = [
     "SelectionFunction",
@@ -29,12 +30,12 @@ __all__ = [
     "UnsupportedSelectionError",
     "DatumNotSelectedError",
     "DivergentMLEError",
-    "UnboundedCIError",
     "selection_probability",
     "selective_log_density",
     "selective_cdf",
     "selective_mle",
     "selective_ci",
+    "equal_tailed_inference",
     "randomized_selection_prob",
     "indicator_above",
     "indicator_two_sided",
@@ -67,15 +68,6 @@ class DivergentMLEError(RuntimeError):
     def __init__(self, direction):
         self.direction = np.asarray(direction, dtype=float)
         super().__init__(f"divergent MLE along direction {self.direction}")
-
-
-class UnboundedCIError(RuntimeError):
-    """A CI endpoint could not be bracketed inside the search box; endpoint
-    is -inf or +inf, the side on which it lies beyond the box."""
-
-    def __init__(self, endpoint: float):
-        self.endpoint = endpoint
-        super().__init__("unbounded CI endpoint")
 
 
 def _checked_probs(p, indicator: bool) -> np.ndarray:
@@ -516,18 +508,15 @@ def solve_monotone(g, center: float, step: float, limit: float,
 
 def invert_monotone_cdf(cdf_in_theta, observed_level: float, center: float,
                         step: float = 1.0, limit: float = 50.0) -> float:
-    """Solve cdf(theta) = observed_level for a CDF decreasing in theta;
-    UnboundedCIError when the solution lies outside |theta| <= limit.
+    """Solve cdf(theta) = observed_level for a CDF decreasing in theta; a
+    solution outside |theta| <= limit reads -inf or +inf, the side it lies on.
 
     The solve runs on the probit pivot ndtri(cdf) - ndtri(observed_level),
     exactly linear in theta for an untruncated Gaussian; a CDF of 0 or 1
     maps to -inf or +inf, which keeps the sign."""
     z = float(ndtri(observed_level))
-    root = solve_monotone(lambda th: float(ndtri(cdf_in_theta(th))) - z,
+    return solve_monotone(lambda th: float(ndtri(cdf_in_theta(th))) - z,
                           center, step, limit, 1e-8, 1e-14)
-    if math.isinf(root):
-        raise UnboundedCIError(root)
-    return root
 
 
 def invert_equal_tailed(cdf_in_theta, level: float, center: float,
@@ -539,23 +528,36 @@ def invert_equal_tailed(cdf_in_theta, level: float, center: float,
     Heavy-tailed families genuinely produce half-infinite selective
     intervals. A CDF on one side of both levels over the whole box puts
     the accepted set beyond the box: (-inf, -inf) or (inf, inf), which
-    covers no theta inside it. cdf(center) is evaluated once for both."""
+    covers no theta inside it. cdf(center) is evaluated once for both.
+    ValueError for a level outside (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be in (0, 1)")
     alpha = 1.0 - level
     at_center = cdf_in_theta(center)
 
     def cdf(th):
         return at_center if th == center else cdf_in_theta(th)
 
-    ends = []
-    for side, observed_level in (("lower", 1.0 - alpha / 2.0), ("upper", alpha / 2.0)):
-        try:
-            ends.append(invert_monotone_cdf(cdf, observed_level, center,
-                                            step=step, limit=limit))
-        except UnboundedCIError as exc:
-            if diagnostics is not None:
-                diagnostics.setdefault("flags", []).append(f"unbounded-ci-{side}")
-            ends.append(exc.endpoint)
-    return tuple(ends)
+    ends = tuple(invert_monotone_cdf(cdf, observed_level, center, step=step, limit=limit)
+                 for observed_level in (1.0 - alpha / 2.0, alpha / 2.0))
+    for side, end in zip(("lower", "upper"), ends):
+        if math.isinf(end) and diagnostics is not None:
+            diagnostics.setdefault("flags", []).append(f"unbounded-ci-{side}")
+    return ends
+
+
+def equal_tailed_inference(tail, level: float, center: float, step: float,
+                           estimate: float, kind: str, diagnostics: dict,
+                           null: float = 0.0) -> InferenceResult:
+    """Estimate, equal-tailed CI and p-value from one pivot: tail(theta,
+    upper) is P_theta(T > t | selection) if upper, else P_theta(T <= t |
+    selection), each side computed on its own. The CI inverts the lower tail
+    inside |theta| <= 50 max(1, step) + |center|; the p-value is the upper
+    tail at theta = null, so a small one keeps its relative accuracy."""
+    ci = invert_equal_tailed(lambda th: tail(th, False), level, center, step=step,
+                             limit=50.0 * max(1.0, step) + abs(center),
+                             diagnostics=diagnostics)
+    return InferenceResult(estimate, ci, tail(null, True), kind, diagnostics)
 
 
 def selective_ci(model: SelectiveModel, y: float, level: float = 0.95,
@@ -567,9 +569,6 @@ def selective_ci(model: SelectiveModel, y: float, level: float = 0.95,
     endpoint beyond |theta| = 50 is reported as -inf or +inf, as in
     invert_equal_tailed.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
-
     def cdf(th):
         try:
             return selective_cdf(model, y, th, rng)

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import optimize
 from scipy.special import log_ndtr
 
 from ._quad import log_integral_panels
-from .distributions import _log_interval_mass, _logsumexp, mills_ratio, std_normal_log_pdf
+from .distributions import _log_interval_mass, _logsumexp, mills_excess, std_normal_log_pdf
 from .results import InferenceResult
-from .selective import invert_equal_tailed, solve_monotone
+from .selective import equal_tailed_inference, solve_monotone
 
 __all__ = [
     "TwoStageData",
@@ -174,20 +175,22 @@ def sample_size_pmf_given_selection(prior: SampleSizePrior, theta: float,
 # is (truncated stage-1 sum) + (independent stage-2 sum), mixed over n1
 
 def _log_sum_cdf_numerator(s: float, n1: int, n2: int, theta: float,
-                           z: float) -> float:
-    """log integral over u > c of f_{S1}(u) * P(S2 <= s - u), c = z*sqrt(n1)."""
+                           z: float, upper: bool) -> float:
+    """log integral over u > c of f_{S1}(u) * P(S2 <= s - u), c = z*sqrt(n1),
+    or of f_{S1}(u) * P(S2 > s - u) when upper."""
     c = z * math.sqrt(n1)
     mean1 = n1 * theta
     sd1 = math.sqrt(n1)
 
     if n2 == 0:
-        hi_z = (s - mean1) / sd1
-        lo_z = (c - mean1) / sd1
-        if hi_z <= lo_z:
-            return -math.inf
+        # the cut standardized as in _log_sel_prob, to share its rounding
+        lo_z, hi_z = z - theta * sd1, (s - mean1) / sd1
+        if upper:
+            return _log_interval_mass(max(lo_z, hi_z), math.inf)
         return _log_interval_mass(lo_z, hi_z)
 
-    sd2 = math.sqrt(n2)
+    # P(S2 > s - u) is Phi((s - u - mean2) / -sd2)
+    sd2 = -math.sqrt(n2) if upper else math.sqrt(n2)
     mean2 = n2 * theta
     # the integrand piles up near c when the truncation is deep; its decay
     # scale there is n1 / (c - mean1), else the usual sd1
@@ -210,13 +213,15 @@ def _log_sum_cdf_numerator(s: float, n1: int, n2: int, theta: float,
     return log_integral_panels(log_f, breaks, nodes=32)
 
 
-def _sum_cdf(s: float, prior: SampleSizePrior, n2: int, theta: float, z: float) -> float:
-    """P_theta(S <= s | selection) for the total sum S, n1 drawn from prior."""
+def _sum_tail(s: float, prior: SampleSizePrior, n2: int, z: float, theta: float,
+              upper: bool) -> float:
+    """P_theta(S <= s | selection) for the total sum S, n1 drawn from prior;
+    P_theta(S > s | selection) when upper."""
     log_den = _log_mixture_sel_prob(prior, theta, z)
     if log_den == -math.inf:
         raise ValueError("selection probability vanishes")
     log_num = _logsumexp([
-        math.log(p) + _log_sum_cdf_numerator(s, k, n2, theta, z)
+        math.log(p) + _log_sum_cdf_numerator(s, k, n2, theta, z, upper)
         for k, p in zip(prior.support, prior.probs)
         if p > 0
     ])
@@ -224,17 +229,15 @@ def _sum_cdf(s: float, prior: SampleSizePrior, n2: int, theta: float, z: float) 
 
 
 def _score(theta: float, data: TwoStageData, prior: SampleSizePrior) -> float:
-    """d/dtheta of unconditional_loglik; the derivative of the log mixture
-    selection probability averages sqrt(k) * hazard over the selective pmf."""
-    z = data.threshold
+    """d/dtheta of unconditional_loglik: S - n theta - sqrt(k) hazard(z -
+    theta sqrt(k)) averaged over the selective pmf of n1 = k, through
+    mills_excess so that nothing cancels when S1 barely passes the cut."""
+    z, total, n = data.threshold, data.total_sum, data.n
     log_den = _log_mixture_sel_prob(prior, theta, z)
-    dlog_den = sum(
-        math.exp(math.log(p) + _log_sel_prob(theta, k, z) - log_den)
-        * math.sqrt(k) * mills_ratio(z - theta * math.sqrt(k))
-        for k, p in zip(prior.support, prior.probs)
-        if p > 0
-    )
-    return data.total_sum - data.n * theta - dlog_den
+    return sum(math.exp(math.log(p) + _log_sel_prob(theta, k, z) - log_den)
+               * (total - (n - k) * theta
+                  - math.sqrt(k) * (z + mills_excess(z - theta * math.sqrt(k))))
+               for k, p in zip(prior.support, prior.probs) if p > 0)
 
 
 def _conditional_mle(data: TwoStageData) -> float:
@@ -267,17 +270,9 @@ def _unconditional_mle(data: TwoStageData, prior: SampleSizePrior) -> float:
 def _infer(data: TwoStageData, prior: SampleSizePrior, est: float, level: float,
            kind: str, denominator: str) -> InferenceResult:
     """Equal-tailed CI and p-value (theta = 0) from the law of the total sum."""
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
-    s = data.total_sum
-
-    def cdf(theta):
-        return _sum_cdf(s, prior, data.n2, theta, data.threshold)
-
-    diagnostics = {"denominator": denominator}
-    ci = invert_equal_tailed(cdf, level, est, step=1.0 / math.sqrt(data.n),
-                             limit=50.0 + abs(est), diagnostics=diagnostics)
-    return InferenceResult(est, ci, 1.0 - cdf(0.0), kind, diagnostics)
+    tail = partial(_sum_tail, data.total_sum, prior, data.n2, data.threshold)
+    return equal_tailed_inference(tail, level, est, 1.0 / math.sqrt(data.n), est, kind,
+                                  {"denominator": denominator})
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import optimize
@@ -21,7 +22,7 @@ from scipy.special import log_ndtr
 from ._quad import _leggauss, log_integral_gl
 from .distributions import _logsumexp, mills_excess, std_normal_log_pdf, std_normal_quantile
 from .results import InferenceResult
-from .selective import invert_equal_tailed, solve_monotone
+from .selective import equal_tailed_inference, solve_monotone
 
 __all__ = [
     "WinnersData",
@@ -165,40 +166,42 @@ def _conditional_mle(t: float, c: float, sigma: float) -> float:
                           abs(t) + 1e4 * sigma, 1e-10, 1e-15)
 
 
-def _infer_conditional(t: float, c: float, sigma: float, level: float) -> InferenceResult:
+def _conditional_pivot(t: float, losers: np.ndarray, sigma: float) -> tuple:
+    """Estimate, tail and diagnostics of the conditional-on-losers model."""
+    c = float(losers.max())
     diagnostics = {"normalizer": "truncated-gaussian closed form"}
-    pvalue = math.exp(_log_conditional_sf(t, c, sigma, 0.0))
-
-    def cdf(th):
-        return -math.expm1(_log_conditional_sf(t, c, sigma, th))
-
-    limit = 50.0 * max(1.0, sigma) + abs(t)
     if t - c <= _BOUNDARY_TOL * max(1.0, abs(c)):
         diagnostics["flags"] = ["divergent-mle"]
-        _, hi = invert_equal_tailed(cdf, level, t, step=sigma, limit=limit,
-                                    diagnostics=diagnostics)
-        return InferenceResult(-math.inf, (-math.inf, hi), pvalue,
-                               WinnersModelKind.CONDITIONAL_ON_LOSERS.value, diagnostics)
-    estimate = _conditional_mle(t, c, sigma)
-    ci = invert_equal_tailed(cdf, level, t, step=sigma, limit=limit,
-                             diagnostics=diagnostics)
-    return InferenceResult(estimate, ci, pvalue,
-                           WinnersModelKind.CONDITIONAL_ON_LOSERS.value, diagnostics)
+        estimate = -math.inf
+    else:
+        estimate = _conditional_mle(t, c, sigma)
+
+    def tail(th, upper):
+        log_sf = _log_conditional_sf(t, c, sigma, th)
+        return math.exp(log_sf) if upper else -math.expm1(log_sf)
+
+    return estimate, tail, diagnostics
 
 
 # full-vector model: joint selective MLE, then a 1-D CDF pivot for the
 # winner's mean with nuisance means fixed at their plug-in estimates
 
 def _full_cdf(t: float, nuisance_means: np.ndarray, sigma: float,
-              theta1: float) -> float:
-    """P_theta1(T <= t | T wins) with the non-selected means plugged in."""
+              theta1: float, upper: bool = False) -> float:
+    """P_theta1(T <= t | T wins), or P_theta1(T > t | T wins) when upper,
+    with the non-selected means plugged in. The upper side runs from t to
+    the window's top, or to 12 sigma above t when t lies past it."""
     lo, hi = _window(theta1, nuisance_means, sigma)
     if t <= lo:
-        return 0.0
-    if t >= hi:
+        return 1.0 if upper else 0.0
+    if upper:
+        a, b = t, max(hi, t + _WINDOW_SIGMAS * sigma)
+    elif t >= hi:
         return 1.0
+    else:
+        a, b = lo, t
     log_den = _log_win_integral(lo, hi, theta1, nuisance_means, sigma)
-    log_num = _log_win_integral(lo, t, theta1, nuisance_means, sigma)
+    log_num = _log_win_integral(a, b, theta1, nuisance_means, sigma)
     return math.exp(min(log_num - log_den, 0.0))
 
 
@@ -246,8 +249,8 @@ def _joint_selective_mle(y: np.ndarray, sigma: float) -> np.ndarray:
     return np.asarray(res.x, dtype=float)
 
 
-def _infer_full_vector(t: float, losers: np.ndarray, sigma: float,
-                       level: float) -> InferenceResult:
+def _full_vector_pivot(t: float, losers: np.ndarray, sigma: float) -> tuple:
+    """Estimate, tail and diagnostics of the full-vector model."""
     diagnostics = {"normalizer": f"gauss-legendre-{_GL_NODES}",
                    "nuisance": "joint selective MLE plug-in"}
     y_ordered = np.concatenate(([t], losers))
@@ -257,28 +260,17 @@ def _infer_full_vector(t: float, losers: np.ndarray, sigma: float,
     if estimate <= t - 20.0 * sigma + 1e-6 * sigma:
         diagnostics.setdefault("flags", []).append("divergent-mle")
         estimate = -math.inf
-    pvalue = 1.0 - _full_cdf(t, nuis, sigma, 0.0)
-
-    def cdf(th):
-        return _full_cdf(t, nuis, sigma, th)
-
-    limit = 50.0 * max(1.0, sigma) + abs(t)
-    ci = invert_equal_tailed(cdf, level, t, step=sigma, limit=limit,
-                             diagnostics=diagnostics)
-    return InferenceResult(estimate, ci, pvalue,
-                           WinnersModelKind.FULL_VECTOR.value, diagnostics)
+    return estimate, partial(_full_cdf, t, nuis, sigma), diagnostics
 
 
 def infer_winner(data: WinnersData, kind, level: float = 0.9) -> InferenceResult:
     """Estimate, equal-tailed CI and p-value (theta_1 = 0) for the winner's mean."""
     kind = WinnersModelKind(kind)
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
-    t = data.winner
-    losers = data.losers
-    if kind is WinnersModelKind.CONDITIONAL_ON_LOSERS:
-        return _infer_conditional(t, float(losers.max()), data.sigma, level)
-    return _infer_full_vector(t, losers, data.sigma, level)
+    pivot = (_conditional_pivot if kind is WinnersModelKind.CONDITIONAL_ON_LOSERS
+             else _full_vector_pivot)
+    estimate, tail, diagnostics = pivot(data.winner, data.losers, data.sigma)
+    return equal_tailed_inference(tail, level, data.winner, data.sigma, estimate, kind.value,
+                                  diagnostics)
 
 
 def unadjusted_z_interval(t: float, sigma: float, level: float) -> tuple:

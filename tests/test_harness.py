@@ -2,6 +2,11 @@
 row/summary integrity."""
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,3 +231,30 @@ class TestKsUniform:
     def test_uniform_sample_small_distance(self):
         rng = np.random.default_rng(0)
         assert ks_uniform(rng.random(100_000)) < 0.01
+
+
+class TestCsvMovesScript:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_reports_exactly_a_one_ulp_pvalue_move(self, tmp_path):
+        for name in ("old", "new"):
+            write_outputs(run(winners_cfg(n_reps=5)), tmp_path / name)
+        csv_path = tmp_path / "new" / "winners-coverage.csv"
+        rows = csv_to_rows(csv_path.read_text())
+        rows[2]["pvalue"] = math.nextafter(rows[2]["pvalue"], 2.0)
+        csv_path.write_text(rows_to_csv(rows))
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
+        out = subprocess.run(
+            [sys.executable, str(self.ROOT / "scripts" / "csv_moves.py"),
+             str(tmp_path / "old"), str(tmp_path / "new")],
+            capture_output=True, text=True, env=env, check=False)
+        assert out.returncode == 1, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[0] == "winners-coverage.csv: 1 of 5 rows differ"
+        moved = [ln for ln in lines if re.match(r"  \w+: \d+ moved", ln)]
+        assert len(moved) == 1
+        match = re.fullmatch(r"  pvalue: 1 moved, largest relative move (\S+) \(rep 2\)",
+                             moved[0])
+        assert match and 0.0 < float(match.group(1)) <= 2.3e-16
+        assert "  covered flips: 0" in lines and "  flag changes: 0" in lines
+        assert lines[-1] == "winners-coverage.summary.json: 0 differing key(s)"

@@ -8,6 +8,7 @@ from scipy import optimize
 from scipy.integrate import quad
 from scipy.special import erfcx, log_ndtr, ndtr
 
+from selectcond import location, two_stage, winners
 from selectcond.distributions import TruncatedGaussian, std_normal_log_pdf, truncated_cdf
 from selectcond.selective import (
     ClosedFormNormalizer,
@@ -21,6 +22,7 @@ from selectcond.selective import (
     gaussian_iid,
     indicator_above,
     invert_equal_tailed,
+    invert_monotone_cdf,
     indicator_two_sided,
     randomized_above,
     randomized_selection_prob,
@@ -360,6 +362,89 @@ class TestInvertEqualTailed:
 
             invert_equal_tailed(cdf, level, c + gap)
         assert evals / 80 <= 7.5
+
+    @pytest.mark.parametrize("level", [-0.5, 0.0, 1.0, 1.5, math.nan])
+    def test_rejects_level_outside_unit_interval(self, level):
+        with pytest.raises(ValueError, match="level"):
+            invert_equal_tailed(lambda th: float(ndtr(1.0 - th)), level, 0.0)
+
+    @pytest.mark.parametrize("cdf_value, end", [(0.001, -math.inf), (0.999, math.inf)])
+    def test_monotone_solution_past_the_box_is_infinite(self, cdf_value, end):
+        assert invert_monotone_cdf(lambda th: cdf_value, 0.5, 0.0) == end
+        # a solution inside the box stays finite
+        assert invert_monotone_cdf(lambda th: float(ndtr(1.0 - th)), 0.5, 0.0) \
+            == pytest.approx(1.0, abs=1e-8)
+
+
+class TestModelPivots:
+    """Each model hands equal_tailed_inference the two tails of its pivot:
+    they sum to one, the lower tail falls in theta, and the p-value is the
+    upper tail at the null. Both checks allow 1e-12 of rounding; where the
+    observation sits on the cut, the lower tail is 0 give or take 4e-15."""
+
+    @staticmethod
+    def check_pivot(module, infer, monotone=True):
+        seen = {}
+        real = module.equal_tailed_inference
+
+        def spy(tail, level, center, step, estimate, kind, diagnostics, null=0.0):
+            seen.update(tail=tail, center=center, step=step, null=null)
+            return real(tail, level, center, step, estimate, kind, diagnostics, null)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, "equal_tailed_inference", spy)
+            res = infer()
+        tail = seen["tail"]
+        thetas = seen["center"] + seen["step"] * np.linspace(-6.0, 6.0, 13)
+        lower = [tail(th, False) for th in thetas]
+        for th, low in zip(thetas, lower):
+            assert abs(low + tail(th, True) - 1.0) <= 1e-12
+        if monotone:
+            assert all(b <= a + 1e-12 for a, b in zip(lower, lower[1:]))
+        assert res.pvalue == tail(seen["null"], True)
+        assert 0.0 <= res.pvalue <= 1.0
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(1, 20), st.integers(0, 30), st.floats(-0.5, 2.0),
+           st.floats(0.05, 5.0), st.integers(0, 2**32 - 1), st.booleans())
+    def test_two_stage(self, n1, n2, theta, gap, seed, mixture):
+        rng = np.random.default_rng(seed)
+        stage1 = theta + rng.standard_normal(n1)
+        # shift stage 1 to pass the cut by gap. The estimate, the grid's
+        # center, then lies about sqrt(n1) / gap sigma below the cut: at most
+        # 90 sigma here. At 260 sigma (n1 = 1, gap 0.0039) the log tails near
+        # -3.4e4 carry 3e-12 of rounding, and the two tails miss a sum of one
+        # by 1.5e-12.
+        stage1 += (1.96 * math.sqrt(n1) + gap - stage1.sum()) / n1
+        data = two_stage.TwoStageData(stage1, theta + rng.standard_normal(n2))
+        if mixture:
+            # S alone is not sufficient once n1 is random: its law mixed
+            # over n1 need not fall in theta (n1 = 1, n2 = 0, gap 1 and a
+            # prior on {1, 6} rise from 0.17 to 0.22 between theta = 0.8
+            # and 1.8), so only the other two checks apply
+            prior = two_stage.SampleSizePrior((n1, n1 + 5), np.array([0.5, 0.5]))
+            self.check_pivot(two_stage, lambda: two_stage.infer_unconditional(data, prior),
+                             monotone=False)
+        else:
+            self.check_pivot(two_stage, lambda: two_stage.infer_conditional(data))
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(-5.0, 5.0), st.floats(0.0, 4.0), st.floats(0.2, 3.0),
+           st.sampled_from(list(winners.WinnersModelKind)))
+    def test_winners(self, t, gap, sigma, kind):
+        data = winners.WinnersData(np.array([t, t - gap, t - gap - sigma]), sigma)
+        self.check_pivot(winners, lambda: winners.infer_winner(data, kind))
+
+    @settings(deadline=None, max_examples=15)
+    @given(st.sampled_from(["gaussian", "laplace", "logistic"]), st.integers(3, 8),
+           st.floats(-1.0, 1.0), st.floats(1.0, 5.0), st.integers(0, 2**32 - 1))
+    def test_location(self, name, n, null, widen, seed):
+        fam = location.get_family(name)
+        conf = location.decompose(1.0 + fam.sampler(np.random.default_rng(seed), n), fam)
+        # the smallest selection level that admits the data, widened
+        alpha = min(1.0, widen * location.location_pvalue(conf, fam, null))
+        self.check_pivot(location, lambda: location.selective_location_inference(
+            conf, fam, alpha, 0.9, null))
 
 
 class TestRandomizedSelectionProb:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import mpmath
 from scipy.special import log_ndtr, ndtr
 
 from selectcond.two_stage import (
@@ -17,6 +18,7 @@ from selectcond.two_stage import (
     infer_unconditional,
     sample_size_pmf_given_selection,
     unconditional_loglik,
+    _conditional_mle,
     _unconditional_mle,
 )
 from selectcond.distributions import TruncatedGaussian, truncated_logpdf
@@ -249,3 +251,42 @@ def test_infer_rejects_level_outside_unit_interval(level):
         infer_conditional(data, level)
     with pytest.raises(ValueError):
         infer_unconditional(data, SampleSizePrior.point_mass(6), level)
+
+
+class TestDeepPrecision:
+    """p-values from the upper tail and a score free of cancellation,
+    against mpmath."""
+
+    @staticmethod
+    def mpmath_pvalue(s, n1, n2, z=1.96):
+        # P_0(S > s | S1 > z sqrt(n1)) for S1 ~ N(0, n1), S2 ~ N(0, n2)
+        with mpmath.workdps(40):
+            s, c = mpmath.mpf(s), z * mpmath.sqrt(n1)
+            sd1, sd2 = mpmath.sqrt(n1), mpmath.sqrt(n2)
+            peak = max(c, n1 * s / (n1 + n2))
+
+            def f(u):
+                return mpmath.npdf(u / sd1) / sd1 * mpmath.ncdf((u - s) / sd2)
+
+            num = mpmath.quad(f, sorted({c, peak, peak + 2 * sd1, mpmath.inf}))
+            return float(num / mpmath.ncdf(-c / sd1))
+
+    @pytest.mark.parametrize("total", [20.0, 26.0, 35.0])
+    def test_conditional_pvalue_against_mpmath(self, total):
+        # 1 - cdf(0) was off by 2e-13, 2.3e-10 and 7.7e-6 relative
+        data = TwoStageData(np.ones(5), np.full(20, (total - 5.0) / 20.0))
+        want = self.mpmath_pvalue(data.total_sum, 5, 20)
+        assert infer_conditional(data).pvalue == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_mle_when_stage1_barely_passes(self):
+        # S1 passes the cut by 2.6e-4, which puts the root near -3869; a
+        # score that subtracts the hazard from S - n theta cancels two
+        # numbers near 3871, and its roots were 4e-10 and 1.7e-9 off
+        data = make_selected(0.0, 1, 0, 0)
+        with mpmath.workdps(50):
+            s, z = mpmath.mpf(data.total_sum), mpmath.mpf(data.threshold)
+            root = float(mpmath.findroot(
+                lambda th: s - th - mpmath.npdf(z - th) / mpmath.ncdf(th - z), -3869.0))
+        assert _conditional_mle(data) == pytest.approx(root, rel=1e-12, abs=0.0)
+        assert _unconditional_mle(data, SampleSizePrior.point_mass(1)) == pytest.approx(
+            root, rel=1e-12, abs=0.0)

@@ -277,3 +277,43 @@ class TestWinnersData:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             WinnersData(np.array([0.5, 2.0]), sigma=0.0)
+
+
+class TestFullVectorUpperTail:
+    """P_0(T > t | T wins) at theta_1 = 0, sigma = 1, against mpmath."""
+
+    @staticmethod
+    def mpmath_upper(t, nuisance):
+        with mpmath.workdps(30):
+            t = mpmath.mpf(t)
+
+            def win(u):
+                return mpmath.npdf(u) * mpmath.fprod(mpmath.ncdf(u - m) for m in nuisance)
+
+            def shifted(x):
+                # win(t + x) / npdf(t): order one, so quad's absolute error
+                # control holds for a tail of 1e-47
+                return mpmath.exp(-t * x - x * x / 2) * mpmath.fprod(
+                    mpmath.ncdf(t + x - m) for m in nuisance)
+
+            num = mpmath.npdf(t) * mpmath.quad(shifted, [0, 1 / t, 5 / t, 30 / t, mpmath.inf])
+            return float(num / mpmath.quad(win, [-mpmath.inf, -4, 0, 4, mpmath.inf]))
+
+    @pytest.mark.parametrize("t", [4.0, 5.5, 7.0])
+    def test_deep_tail_keeps_relative_accuracy(self, t):
+        # 1 - cdf was off by 1.3e-13, 4.7e-9 and 1.2e-4 relative
+        nuisance = (0.0, 0.3)
+        got = _full_cdf(t, np.array(nuisance), 1.0, 0.0, upper=True)
+        assert got == pytest.approx(self.mpmath_upper(t, nuisance), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("t", [11.0, 13.0, 14.5])
+    def test_tail_past_the_window(self, t):
+        # the window ends 12 sigma above the largest mean, at 12.5; a tail
+        # integrated only to there reads 0 for t = 13 and t = 14.5
+        nuisance = (0.5, 0.2)
+        got = _full_cdf(t, np.array(nuisance), 1.0, 0.0, upper=True)
+        assert got == pytest.approx(self.mpmath_upper(t, nuisance), rel=1e-10, abs=0.0)
+
+    def test_pvalue_past_the_window_is_positive(self):
+        res = infer_winner(WinnersData(np.array([13.0, 0.5, 0.2])), "full-vector")
+        assert 0.0 < res.pvalue < 1e-30
