@@ -26,10 +26,11 @@ def log_integral_gl(log_f, lo: float, hi: float, nodes: int = 200) -> float:
     smooth one-signed integrands whose features are resolved by the node
     spacing; callers choose the window.
     """
-    if not hi > lo:
+    half = 0.5 * (hi - lo)
+    # a window of subnormal width can have a half-width of zero
+    if not half > 0.0:
         return -math.inf
     x, logw = _leggauss(nodes)
-    half = 0.5 * (hi - lo)
     pts = 0.5 * (hi + lo) + half * x
     vals = np.asarray(log_f(pts), dtype=float) + logw
     return _logsumexp(vals) + math.log(half)

@@ -29,8 +29,8 @@ def _level(v):
 
 
 def _number(v):
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"expected a number, got {v!r}")
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+        raise ConfigError(f"expected a finite number, got {v!r}")
     return float(v)
 
 

@@ -9,6 +9,7 @@ the selection region.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -18,7 +19,7 @@ from scipy import optimize
 from scipy.integrate import quad
 from scipy.special import ndtri
 
-from ._quad import log_integral_panels
+from ._quad import _leggauss, log_integral_gl, log_integral_panels
 from .distributions import std_normal_log_pdf
 from .results import InferenceResult
 from .selective import equal_tailed_inference, solve_monotone
@@ -116,8 +117,9 @@ class Configuration:
         return int(self.residuals.size)
 
 
-def _profile_loglik(shift: float, residuals: np.ndarray, fam: LocationFamily) -> float:
-    return float(np.sum(fam.log_g(residuals + shift)))
+def _profile_loglik(shift, residuals: np.ndarray, fam: LocationFamily):
+    """sum log g(a_i + shift), elementwise over an array of shifts."""
+    return fam.log_g(np.asarray(shift)[..., None] + residuals).sum(axis=-1)
 
 
 def _fd_score(theta: float, y: np.ndarray, fam: LocationFamily, h: float) -> float:
@@ -150,10 +152,13 @@ def decompose(y, fam: LocationFamily, validate: bool = True) -> Configuration:
 
     a = y - theta_hat
     if validate:
+        # theta_hat must be a local maximum: both one-sided slopes
+        # non-positive, which holds at a kink of log g too
         hv = 1e-4 * fam.scale
-        score = (_profile_loglik(hv, a, fam) - _profile_loglik(-hv, a, fam)) / (2.0 * hv)
-        if abs(score) > 1e-8 * max(1.0, float(y.size)):
-            raise ValueError(f"residuals are not a configuration: score {score:.2e}")
+        mid = _profile_loglik(0.0, a, fam)
+        slope = max(_profile_loglik(hv, a, fam) - mid, _profile_loglik(-hv, a, fam) - mid) / hv
+        if slope > 1e-8 * max(1.0, float(y.size)):
+            raise ValueError(f"residuals are not a configuration: slope {slope:.2e}")
     return Configuration(a, theta_hat)
 
 
@@ -177,15 +182,46 @@ def _log_tail_mass(x: float, residuals: np.ndarray, fam: LocationFamily) -> floa
     for k0 in fam.kinks:
         pts.update(float(k0) - a)
     breaks = sorted(p for p in pts if lo <= p <= hi)
-
-    def log_f(u):
-        return fam.log_g(u[:, None] + a[None, :]).sum(axis=1)
-
-    return log_integral_panels(log_f, breaks, nodes=32)
+    return log_integral_panels(lambda u: _profile_loglik(u, a, fam), breaks, nodes=32)
 
 
 def _log_total_mass(residuals: np.ndarray, fam: LocationFamily) -> float:
     return _log_tail_mass(-math.inf, residuals, fam)
+
+
+def _tail_table(residuals: np.ndarray, fam: LocationFamily) -> Callable[[float], float]:
+    """x -> _log_tail_mass(x, residuals, fam), from one table of panels cumulated
+    from the right: edges at -40, -8, -4, -2 scale, the kinks of log g and a
+    grid of step w = scale/sqrt(n) from -16 w to 20 scale + 45 w. A read adds
+    one panel from x to the next edge; past 20 scale it is _log_tail_mass.
+    """
+    s = fam.scale
+    w = s / math.sqrt(residuals.size)
+    top = 20.0 * s + 45.0 * w
+    grid = w * np.arange(-16.0, math.ceil(top / w))
+    edges = np.concatenate([[-40.0 * s, -8.0 * s, -4.0 * s, -2.0 * s, top], grid]
+                           + [float(k0) - residuals for k0 in fam.kinks])
+    edges = np.unique(edges[(edges >= -40.0 * s) & (edges <= top)])
+    nodes, logw = _leggauss(32)
+    half = 0.5 * np.diff(edges)
+    u = (edges[:-1] + half)[:, None] + half[:, None] * nodes
+    masses = np.logaddexp.reduce(_profile_loglik(u, residuals, fam) + logw
+                                 + np.log(half)[:, None], axis=1)
+    cum = np.append(np.logaddexp.accumulate(masses[::-1])[::-1], -math.inf).tolist()
+    edges = edges.tolist()
+
+    def log_tail(x: float) -> float:
+        if x <= edges[0]:
+            return cum[0]
+        if x > 20.0 * s:
+            return _log_tail_mass(x, residuals, fam)
+        j = bisect.bisect_left(edges, x)
+        if edges[j] == x:
+            return cum[j]
+        return float(np.logaddexp(cum[j], log_integral_gl(
+            lambda u: _profile_loglik(u, residuals, fam), x, edges[j], nodes=32)))
+
+    return log_tail
 
 
 def conditional_density_constant(theta: float, conf: Configuration,
@@ -207,16 +243,16 @@ def location_pvalue(conf: Configuration, fam: LocationFamily,
                              - _log_total_mass(conf.residuals, fam)))
 
 
-def _selection_cutoff(alpha: float, residuals: np.ndarray, fam: LocationFamily,
-                      log_total: float) -> float:
+def _selection_cutoff(alpha: float, log_tail: Callable[[float], float],
+                      fam: LocationFamily, n: int) -> float:
     """The t above which u(t, a) <= alpha under a zero null: one quantile
     solve per dataset; other null values shift the cutoff exactly."""
-    log_target = math.log(alpha) + log_total
+    log_target = math.log(alpha) + log_tail(-math.inf)
 
     def h(t):
-        return _log_tail_mass(t, residuals, fam) - log_target
+        return log_tail(t) - log_target
 
-    guess = fam.scale * float(ndtri(1.0 - alpha)) / math.sqrt(residuals.size)
+    guess = fam.scale * float(ndtri(1.0 - alpha)) / math.sqrt(n)
     cutoff = solve_monotone(h, guess, fam.scale, 50.0 * fam.scale, 1e-12, 1e-15)
     if math.isinf(cutoff):
         raise RuntimeError(f"selection cutoff beyond |t| = 50 scale, toward {cutoff}")
@@ -238,17 +274,17 @@ def selective_location_inference(conf: Configuration, fam: LocationFamily,
         raise ValueError("selection_alpha must be in (0, 1]")
     a = conf.residuals
     t = conf.theta_hat
-    log_total = _log_total_mass(a, fam)
+    log_tail = _tail_table(a, fam)
+    log_total = log_tail(-math.inf)
 
-    def log_tail(x):
-        return _log_tail_mass(x, a, fam)
-
-    if min(1.0, math.exp(log_tail(t - null_value) - log_total)) > selection_alpha:
+    # location_pvalue decides: the table's last bits may differ from it
+    if (math.exp(log_tail(t - null_value) - log_total) > selection_alpha
+            and location_pvalue(conf, fam, null_value) > selection_alpha):
         raise ValueError("datum inconsistent with selection event: u > alpha")
     if selection_alpha == 1.0:
         t_alpha = -math.inf
     else:
-        t_alpha = null_value + _selection_cutoff(selection_alpha, a, fam, log_total)
+        t_alpha = null_value + _selection_cutoff(selection_alpha, log_tail, fam, conf.n)
 
     def log_den(theta):
         return log_tail(t_alpha - theta) if t_alpha != -math.inf else log_total
@@ -263,7 +299,7 @@ def selective_location_inference(conf: Configuration, fam: LocationFamily,
         estimate = -math.inf
     else:
         def negloglik(theta):
-            return -(float(np.sum(fam.log_g(a + (t - theta)))) - log_den(theta))
+            return -(_profile_loglik(t - theta, a, fam) - log_den(theta))
 
         span = 30.0 * fam.scale
         res = optimize.minimize_scalar(negloglik, bounds=(t - span, t + 10.0 * fam.scale),
@@ -276,6 +312,23 @@ def selective_location_inference(conf: Configuration, fam: LocationFamily,
                 or left - res.fun <= 1e-8 * max(1.0, abs(res.fun))):
             diagnostics["flags"] = ["divergent-mle"]
             estimate = -math.inf
+        else:
+            # pin it at the root of the score: a five-point difference of the
+            # density term plus L'(t_alpha - theta) = -exp(log f - L), exact;
+            # past the box or with a kink of log g in the stencil, it stands
+            h = 1e-3 * fam.scale
+            y = a + t
+
+            def score(theta):
+                x = t_alpha - theta
+                cut = 0.0 if x == -math.inf else math.exp(_profile_loglik(x, a, fam) - log_tail(x))
+                return (4.0 * _fd_score(theta, y, fam, h) - _fd_score(theta, y, fam, 2.0 * h)) \
+                    / 3.0 - cut
+
+            root = solve_monotone(score, estimate, 1e-6 * fam.scale, abs(t) + span, 1e-13, 1e-15)
+            if math.isfinite(root) and not any(np.any(np.abs(y - k0 - root) < 2.0 * h)
+                                               for k0 in fam.kinks):
+                estimate = root
 
     return equal_tailed_inference(tail, ci_level, t, fam.scale / math.sqrt(conf.n), estimate,
                                   f"location-{fam.name}", diagnostics, null_value)

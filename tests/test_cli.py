@@ -72,6 +72,17 @@ class TestSimulate:
         cfg = write_config(tmp_path, dict(WINNERS_DOC, typo=1))
         assert main(["simulate", cfg]) == 1
 
+    @pytest.mark.parametrize("fields", ['"theta": NaN', '"theta": -Infinity',
+                                        '"theta": 0.5, "threshold": Infinity'])
+    def test_nonfinite_config_exits_one(self, tmp_path, capsys, fields):
+        # json reads NaN and Infinity; such a study would never pass its
+        # rejection loop
+        path = tmp_path / "config.json"
+        path.write_text('{"scenario": "two-stage-compare", "seed": 7, "params": {'
+                        '"prior": {"support": [5], "probs": [1.0]}, "n2": 20, "level": 0.9, '
+                        f'"regime": "joint", "n_reps": 2, {fields}}}}}')
+        assert main(["simulate", str(path)]) == 1
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["simulate", "/nonexistent/config.json"]) == 1
 

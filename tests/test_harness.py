@@ -37,6 +37,12 @@ def winners_cfg(n_reps=30, seed=11, parallelism=1):
     })
 
 
+TWO_STAGE_PARAMS = {"prior": {"support": [5], "probs": [1.0]}, "n2": 20, "theta": 0.5,
+                    "threshold": 1.0, "level": 0.9, "regime": "joint", "n_reps": 2}
+SCREENING_PARAMS = {"n": 25, "p": 2, "threshold": 1.0, "beta": [0.8, 0.0], "level": 0.9,
+                    "n_reps": 2}
+
+
 class TestConfigValidation:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -76,6 +82,21 @@ class TestConfigValidation:
             parse_config({"scenario": "winners-coverage",
                           "params": {"m": 2, "theta": [0, 0], "level": 1.5,
                                      "n_reps": 1}, "seed": 1})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("scenario, params, key", [
+        ("two-stage-compare", TWO_STAGE_PARAMS, "theta"),
+        ("two-stage-compare", TWO_STAGE_PARAMS, "threshold"),
+        ("winners-coverage", {"m": 2, "theta": [0.0, 0.0], "level": 0.9, "n_reps": 1},
+         "theta"),
+        ("polyhedral-coverage", SCREENING_PARAMS, "threshold"),
+        ("polyhedral-coverage", SCREENING_PARAMS, "beta"),
+    ])
+    def test_nonfinite_numbers_rejected(self, scenario, params, key, value):
+        bad = value if not isinstance(params[key], list) else [0.0, value]
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config({"scenario": scenario, "params": dict(params, **{key: bad}),
+                          "seed": 1})
 
     def test_schema_is_publishable(self):
         schema = config_schema()

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import ndtr, ndtri
+from scipy.optimize import brentq
+from scipy.special import log_ndtr, ndtr, ndtri
 
+from selectcond import location
 from selectcond.distributions import TruncatedGaussian, truncated_cdf
 from selectcond.harness.scenarios import ks_uniform, run_replication
 from selectcond.location import (
@@ -15,6 +18,8 @@ from selectcond.location import (
     LocationFamily,
     _log_tail_mass,
     _log_total_mass,
+    _profile_loglik,
+    _tail_table,
     conditional_density_constant,
     decompose,
     get_family,
@@ -69,6 +74,21 @@ class TestDecompose:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             decompose(np.array([1.0, math.inf]), GAUSS)
+
+    def test_laplace_median_next_to_an_observation(self):
+        # 1.00005 lies inside the validation step of the exact median 1.0
+        conf = decompose(np.array([0.0, 1.0, 1.00005]), LAPLACE)
+        assert conf.theta_hat == 1.0
+
+    def test_laplace_even_n_close_middle_pair(self):
+        # any point between the middle pair 0 and 5e-5 maximizes the likelihood
+        conf = decompose(np.array([-1.0, 0.0, 5e-5, 2.0]), LAPLACE)
+        assert 0.0 <= conf.theta_hat <= 5e-5
+
+    def test_rejects_a_point_off_the_maximum(self, monkeypatch):
+        monkeypatch.setattr(location, "solve_monotone", lambda g, center, *rest: center + 1e-3)
+        with pytest.raises(ValueError, match="not a configuration"):
+            decompose(np.array([0.8, 1.3, 0.2, 1.9, 0.5]), GAUSS)
 
 
 class TestConditionalConstant:
@@ -278,3 +298,79 @@ class TestEmptyInterval:
         assert row["covered"] == 0.0
         assert math.isnan(row["length"])
         assert "unbounded-ci-upper" in row["flags"]
+
+
+def _sample_configuration(fam, n, seed):
+    return decompose(fam.sampler(np.random.default_rng(seed), n), fam, validate=False)
+
+
+class TestTailTable:
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from(["gaussian", "laplace", "logistic"]), st.integers(2, 8),
+           st.integers(0, 2**32 - 1), st.floats(-60.0, 40.0))
+    def test_reads_match_tail_mass(self, name, n, seed, x):
+        fam = get_family(name)
+        a = _sample_configuration(fam, n, seed).residuals
+        log_tail = _tail_table(a, fam)
+        s = fam.scale
+        w = s / math.sqrt(n)
+        # grid edges are w * k; -40 s is the table's left end, past 20 s a
+        # read falls back to the panel layout of _log_tail_mass
+        points = [x * s, -math.inf, -60.0 * s, -40.0 * s, -8.0 * s, -16.0 * w, 0.0, 3.0 * w,
+                  20.0 * s, math.nextafter(20.0 * s, math.inf), 20.0 * s + w]
+        points += [float(k0) - ai for k0 in fam.kinks for ai in a]
+        for p in points:
+            want = _log_tail_mass(p, a, fam)
+            assert log_tail(p) == pytest.approx(want, rel=1e-12, abs=0.0), p
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.sampled_from(["gaussian", "laplace", "logistic"]), st.integers(2, 8),
+           st.integers(0, 2**32 - 1))
+    def test_reads_non_increasing(self, name, n, seed):
+        fam = get_family(name)
+        conf = _sample_configuration(fam, n, seed)
+        log_tail = _tail_table(conf.residuals, fam)
+        xs = np.concatenate([np.linspace(-60.0, 40.0, 801) * fam.scale,
+                             [float(k0) - ai for k0 in fam.kinks for ai in conf.residuals]])
+        reads = [log_tail(p) for p in np.sort(xs).tolist()]
+        assert all(b <= a_ for a_, b in zip(reads, reads[1:]))
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.sampled_from(["gaussian", "laplace", "logistic"]), st.integers(2, 8),
+           st.integers(0, 2**32 - 1), st.floats(-3.0, 6.0))
+    def test_slope_is_density_over_tail(self, name, n, seed, x):
+        # L'(x) = -exp(log f(x) - L(x)), the slope the estimate's score uses
+        fam = get_family(name)
+        a = _sample_configuration(fam, n, seed).residuals
+        log_tail = _tail_table(a, fam)
+        x *= fam.scale
+        h = 1e-5 * fam.scale
+        slope = -math.exp(_profile_loglik(x, a, fam) - log_tail(x))
+        central = (log_tail(x + h) - log_tail(x - h)) / (2.0 * h)
+        assert central == pytest.approx(slope, rel=1e-5, abs=1e-8)
+
+
+class TestPinnedEstimate:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_gaussian_estimate_is_the_truncated_normal_score_root(self, seed):
+        # exact gaussian configuration: theta_hat the mean, residuals about it
+        rng = np.random.default_rng(seed)
+        n, alpha = 2 + seed % 7, 0.2
+        cutoff = float(ndtri(1.0 - alpha)) / math.sqrt(n)
+        while True:
+            y = 0.5 + rng.standard_normal(n)
+            conf = Configuration(y - y.mean(), float(y.mean()))
+            # nearer the cut the information vanishes and the root is
+            # ill-conditioned
+            if math.sqrt(n) * (conf.theta_hat - cutoff) >= 0.2:
+                break
+        res = selective_location_inference(conf, GAUSS, alpha, 0.9)
+        t, r = conf.theta_hat, math.sqrt(n)
+
+        def score(theta):
+            z = r * (theta - cutoff)
+            return n * (t - theta) - r * math.exp(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
+                                                 - float(log_ndtr(z)))
+
+        root = brentq(score, t - 40.0, t + 5.0, xtol=1e-15, rtol=1e-15)
+        assert res.estimate == pytest.approx(root, abs=1e-9)
