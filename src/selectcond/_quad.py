@@ -36,22 +36,27 @@ def log_integral_gl(log_f, lo: float, hi: float, nodes: int = 200) -> float:
     return _logsumexp(vals) + math.log(half)
 
 
-def log_integral_panels(log_f, breakpoints, nodes: int = 32) -> float:
-    """log integral of exp(log_f) over consecutive panels between breakpoints.
+def log_integral_panels(log_f, breakpoints, nodes: int = 32, hi=None) -> float:
+    """log integral of exp(log_f) over consecutive panels between breakpoints,
+    or, given hi, over nonempty panels from each breakpoints[i] to hi[i].
 
-    All panel nodes are evaluated in a single vectorized call.
+    All panel nodes are evaluated in a single vectorized call: a flat array,
+    or, given hi, a (panels, nodes) array, so that log_f can broadcast
+    per-panel parameters down its rows.
     """
-    bps = np.asarray(breakpoints, dtype=float)
-    lo = bps[:-1]
-    hi = bps[1:]
-    # a panel of subnormal width can have a half-width of zero
-    keep = 0.5 * (hi - lo) > 0.0
-    if not np.any(keep):
-        return -math.inf
-    lo, hi = lo[keep], hi[keep]
+    lo = np.asarray(breakpoints, dtype=float)
+    flat = hi is None
+    if flat:
+        lo, hi = lo[:-1], lo[1:]
+        # a panel of subnormal width can have a half-width of zero
+        keep = 0.5 * (hi - lo) > 0.0
+        if not np.any(keep):
+            return -math.inf
+        lo, hi = lo[keep], hi[keep]
     x, logw = _leggauss(nodes)
     half = 0.5 * (hi - lo)
-    pts = (0.5 * (hi + lo)[:, None] + half[:, None] * x[None, :]).ravel()
-    logw = (np.log(half)[:, None] + logw[None, :]).ravel()
-    vals = np.asarray(log_f(pts), dtype=float) + logw
-    return _logsumexp(vals)
+    pts = 0.5 * (hi + lo)[:, None] + half[:, None] * x[None, :]
+    logw = np.log(half)[:, None] + logw[None, :]
+    if flat:
+        pts, logw = pts.ravel(), logw.ravel()
+    return _logsumexp((np.asarray(log_f(pts), dtype=float) + logw).ravel())

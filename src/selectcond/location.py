@@ -131,9 +131,10 @@ def _fd_score(theta: float, y: np.ndarray, fam: LocationFamily, h: float) -> flo
 def decompose(y, fam: LocationFamily, validate: bool = True) -> Configuration:
     """Split y into its location MLE and configuration.
 
-    A bounded scalar search localizes the optimum; a root solve on the
-    central-difference score then pins it down far beyond the sqrt(eps)
-    floor of derivative-free minimization.
+    A bounded scalar search localizes the optimum; a root solve on a
+    finite-difference score then pins it down far beyond the sqrt(eps)
+    floor of derivative-free minimization: a five-point one of step 1e-3
+    scale, or where log g has kinks a central one of step 1e-6 scale.
     """
     y = np.asarray(y, dtype=float)
     if y.size < 1 or not np.all(np.isfinite(y)):
@@ -145,9 +146,18 @@ def decompose(y, fam: LocationFamily, validate: bool = True) -> Configuration:
     pad = 2.0 * fam.scale
     res = optimize.minimize_scalar(neg, bounds=(float(y.min()) - pad, float(y.max()) + pad),
                                    method="bounded", options={"xatol": 1e-10})
-    h = 1e-6 * fam.scale
-    root = solve_monotone(lambda th: _fd_score(th, y, fam, h), float(res.x), 4.0 * h,
-                          float(np.abs(y).max()) + pad, 1e-13, 1e-15)
+    # a five-point difference of step h, combined per observation before the
+    # sum, which halves its rounding; where log g has kinks, a central one
+    h = 1e-3 * fam.scale
+    shifts, weights = h * np.array([2.0, 1.0, -1.0, -2.0]), np.array([1, -8, 8, -1]) / (12.0 * h)
+
+    def score(theta):
+        if fam.kinks:
+            return _fd_score(theta, y, fam, 1e-6 * fam.scale)
+        return float(np.sum(fam.log_g((y - theta)[:, None] + shifts) @ weights))
+
+    root = solve_monotone(score, float(res.x), 4e-6 * fam.scale, float(np.abs(y).max()) + pad,
+                          1e-13, 1e-15)
     theta_hat = root if math.isfinite(root) else float(res.x)
 
     a = y - theta_hat

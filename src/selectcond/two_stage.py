@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import optimize
@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 DEFAULT_THRESHOLD = 1.96
+# two-stage numerator panel edges: steps of its decay scale above the cut, of sd1 about mean1
+_CUT_STEPS = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 45.0])
+_MEAN_STEPS = np.array([-12.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 12.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,6 +111,10 @@ class SampleSizePrior:
         probs.setflags(write=False)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
+        # rows over the sizes k of mass p_k > 0: k, sqrt(k), log p_k, log(p_k / sqrt(2 pi k))
+        k, log_p = np.asarray(support, dtype=float)[probs > 0], np.log(probs[probs > 0])
+        object.__setattr__(self, "_terms", np.array(
+            [k, np.sqrt(k), log_p, log_p - 0.5 * np.log(2.0 * math.pi * k)]))
 
     def pmf(self, n1: int) -> float:
         try:
@@ -116,6 +123,7 @@ class SampleSizePrior:
             return 0.0
 
     @classmethod
+    @lru_cache(maxsize=64)
     def point_mass(cls, n1: int) -> "SampleSizePrior":
         return cls((n1,), np.array([1.0]))
 
@@ -174,57 +182,42 @@ def sample_size_pmf_given_selection(prior: SampleSizePrior, theta: float,
 # inference: the total sum S is sufficient given n1, and its selective law
 # is (truncated stage-1 sum) + (independent stage-2 sum), mixed over n1
 
-def _log_sum_cdf_numerator(s: float, n1: int, n2: int, theta: float,
-                           z: float, upper: bool) -> float:
-    """log integral over u > c of f_{S1}(u) * P(S2 <= s - u), c = z*sqrt(n1),
-    or of f_{S1}(u) * P(S2 > s - u) when upper."""
-    c = z * math.sqrt(n1)
-    mean1 = n1 * theta
-    sd1 = math.sqrt(n1)
-
-    if n2 == 0:
-        # the cut standardized as in _log_sel_prob, to share its rounding
-        lo_z, hi_z = z - theta * sd1, (s - mean1) / sd1
-        if upper:
-            return _log_interval_mass(max(lo_z, hi_z), math.inf)
-        return _log_interval_mass(lo_z, hi_z)
-
-    # P(S2 > s - u) is Phi((s - u - mean2) / -sd2)
-    sd2 = -math.sqrt(n2) if upper else math.sqrt(n2)
-    mean2 = n2 * theta
-    # the integrand piles up near c when the truncation is deep; its decay
-    # scale there is n1 / (c - mean1), else the usual sd1
-    if c > mean1:
-        bscale = max(min(sd1, n1 / (c - mean1)), 1e-12)
-    else:
-        bscale = sd1
-    hi = max(mean1 + 12.0 * sd1, c + 45.0 * bscale)
-    pts = {c, hi}
-    pts.update(c + k * bscale for k in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 45.0))
-    pts.update(mean1 + k * sd1 for k in (-12, -8, -4, -2, -1, 0, 1, 2, 4, 8, 12))
-    breaks = sorted(p for p in pts if c <= p <= hi)
-
-    def log_f(u):
-        return (
-            std_normal_log_pdf((u - mean1) / sd1) - math.log(sd1)
-            + log_ndtr((s - u - mean2) / sd2)
-        )
-
-    return log_integral_panels(log_f, breaks, nodes=32)
-
-
 def _sum_tail(s: float, prior: SampleSizePrior, n2: int, z: float, theta: float,
               upper: bool) -> float:
     """P_theta(S <= s | selection) for the total sum S, n1 drawn from prior;
-    P_theta(S > s | selection) when upper."""
+    P_theta(S > s | selection) when upper. The numerator sums p_k times the
+    integral over u > c = z sqrt(k) of f_{S1}(u) P(S2 <= s - u), or of
+    f_{S1}(u) P(S2 > s - u) when upper: one pass over the panels of every k."""
     log_den = _log_mixture_sel_prob(prior, theta, z)
     if log_den == -math.inf:
         raise ValueError("selection probability vanishes")
-    log_num = _logsumexp([
-        math.log(p) + _log_sum_cdf_numerator(s, k, n2, theta, z, upper)
-        for k, p in zip(prior.support, prior.probs)
-        if p > 0
-    ])
+    k, sd1, log_p, _ = prior._terms
+    mean1 = k * theta
+    if n2 == 0:
+        # the cut standardized as in _log_sel_prob, to share its rounding
+        cut, hi_z = (z - theta * sd1).tolist(), ((s - mean1) / sd1).tolist()
+        log_num = _logsumexp([lp + (_log_interval_mass(max(a, b), math.inf) if upper
+                                    else _log_interval_mass(a, b))
+                              for lp, a, b in zip(log_p, cut, hi_z)])
+        return math.exp(min(log_num - log_den, 0.0))
+    # the integrand piles up near c when the truncation is deep; its decay
+    # scale there is k / (c - mean1) where that is below the usual sd1
+    c = z * sd1
+    bscale = np.maximum(sd1 / np.maximum(1.0, (c - mean1) * sd1 / k), 1e-12)[:, None]
+    top = np.maximum(mean1 + 12.0 * sd1, c + 45.0 * bscale[:, 0])[:, None]
+    edges = np.concatenate((c[:, None] + bscale * _CUT_STEPS,
+                            mean1[:, None] + sd1[:, None] * _MEAN_STEPS, top), axis=1)
+    edges = np.sort(np.minimum(np.maximum(edges, c[:, None]), top), axis=1)
+    panels = edges[:, 1:] > edges[:, :-1]
+    k1, s1, _, log_w = prior._terms[:, np.nonzero(panels)[0], None]
+    m1 = k1 * theta
+    # P(S2 <= s - u) = Phi((s2 - u) / sd2), s2 = s - n2 theta; sd2 < 0 gives P(S2 > s - u)
+    sd2, s2 = -math.sqrt(n2) if upper else math.sqrt(n2), s - n2 * theta
+
+    def log_f(u):
+        return log_w - 0.5 * ((u - m1) / s1) ** 2 + log_ndtr((s2 - u) / sd2)
+
+    log_num = log_integral_panels(log_f, edges[:, :-1][panels], 16, hi=edges[:, 1:][panels])
     return math.exp(min(log_num - log_den, 0.0))
 
 

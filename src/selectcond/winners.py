@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import optimize
 from scipy.special import log_ndtr
 
 from ._quad import _leggauss, log_integral_gl
@@ -205,48 +204,66 @@ def _full_cdf(t: float, nuisance_means: np.ndarray, sigma: float,
     return math.exp(min(log_num - log_den, 0.0))
 
 
-def _joint_negloglik_grad(th: np.ndarray, y: np.ndarray, sigma: float):
-    """Negative selective log likelihood of the winner model and its gradient.
-
-    One Gauss-Legendre pass yields the log normalizer together with its
-    derivatives in every mean, since differentiation acts on the density
-    factor and on each CDF factor of the integrand.
-    """
-    t1 = th[0]
-    nuis = th[1:]
+def _joint_pass(th: np.ndarray, y: np.ndarray, sigma: float) -> tuple:
+    """Negative selective log likelihood of the winner model up to a constant,
+    inf where the normalizer underflows, with its gradient (E_sel Y - y) /
+    sigma^2 and Hessian Cov_sel(Y) / sigma^4, from one Gauss-Legendre pass.
+    Given Y_1 = u the losers are N(theta_j, sigma^2) truncated above at u:
+    with z_j = (u - theta_j) / sigma and lambda_j = phi(z_j) / Phi(z_j),
+    their standardized means are -lambda_j and variances 1 - z_j lambda_j -
+    lambda_j^2, so total covariance over the nodes gives the Hessian."""
+    t1, nuis = th[0], th[1:]
     lo, hi = _window(t1, nuis, sigma)
     glx, log_glw = _leggauss(_GL_NODES)
     half = 0.5 * (hi - lo)
     pts = 0.5 * (hi + lo) + half * glx
     z1 = (pts - t1) / sigma
-    log_phi1 = std_normal_log_pdf(z1) - math.log(sigma)
     zo = (pts[:, None] - nuis[None, :]) / sigma
     log_cdfs = log_ndtr(zo)
-    log_nodes = log_phi1 + log_cdfs.sum(axis=1) + log_glw
+    log_nodes = std_normal_log_pdf(z1) + log_cdfs.sum(axis=1) + log_glw
     lse = _logsumexp(log_nodes)
-    log_den = lse + math.log(half)
-    node_w = np.exp(log_nodes - lse)
-    mills = np.exp(std_normal_log_pdf(zo) - log_cdfs)
-    dlog_den_1 = float(np.sum(node_w * z1)) / sigma
-    dlog_den_o = -np.sum(node_w[:, None] * mills, axis=0) / sigma
     zz = (y - th) / sigma
-    loglik = float(np.sum(std_normal_log_pdf(zz))) - log_den
-    if not math.isfinite(loglik):
-        return 1e30, np.zeros_like(th)
-    grad = np.empty_like(th)
-    grad[0] = zz[0] / sigma - dlog_den_1
-    grad[1:] = zz[1:] / sigma - dlog_den_o
-    return -loglik, -grad
+    value = lse + math.log(half / sigma) - float(np.sum(std_normal_log_pdf(zz)))
+    if not math.isfinite(value):
+        return math.inf, None, None
+    w = np.exp(log_nodes - lse)
+    mills = np.exp(std_normal_log_pdf(zo) - log_cdfs)
+    means = np.column_stack((z1, -mills))
+    mean = w @ means
+    dev = means - mean
+    cov = (dev * w[:, None]).T @ dev
+    cov[1:, 1:] += np.diag(w @ np.maximum(1.0 - zo * mills - mills * mills, 0.0))
+    return value, (mean - zz) / sigma, cov / sigma**2
 
 
 def _joint_selective_mle(y: np.ndarray, sigma: float) -> np.ndarray:
-    bounds = [(float(v) - 20.0 * sigma, float(v) + 10.0 * sigma) for v in y]
-    res = optimize.minimize(
-        _joint_negloglik_grad, y.copy(), args=(y, sigma), jac=True,
-        method="L-BFGS-B", bounds=bounds,
-        options={"ftol": 1e-13, "gtol": 1e-10, "maxiter": 400},
-    )
-    return np.asarray(res.x, dtype=float)
+    """Projected Newton on the box (y - 20 sigma, y + 10 sigma), the negative
+    log likelihood being convex (the selected law is an exponential family in
+    theta), holding a coordinate at a bound whose gradient points out. Armijo
+    backtracking runs until the Newton decrement g . H^-1 g is 1e-10, near
+    f's rounding; then full steps while it falls, and one last below 1e-16."""
+    lo, hi = y - 20.0 * sigma, y + 10.0 * sigma
+    th, last = y.copy(), math.inf
+    f, g, h = _joint_pass(th, y, sigma)
+    for _ in range(100):
+        free = ~(((th <= lo) & (g > 0.0)) | ((th >= hi) & (g < 0.0)))
+        step = np.zeros_like(th)
+        step[free] = -np.linalg.solve(h[np.ix_(free, free)], g[free])
+        decrement = -float(g @ step)
+        if decrement <= 1e-16 or decrement >= last:
+            return np.clip(th + step, lo, hi)
+        last, t = (decrement if decrement <= 1e-10 else math.inf), 1.0
+        while True:
+            trial = np.clip(th + t * step, lo, hi)
+            f_trial, g_trial, h_trial = _joint_pass(trial, y, sigma)
+            if (f_trial <= f + 1e-4 * float(g @ (trial - th))
+                    or (last < math.inf and f_trial < math.inf)):
+                break
+            t *= 0.5
+            if t < 1e-12:
+                return th
+        th, f, g, h = trial, f_trial, g_trial, h_trial
+    return th
 
 
 def _full_vector_pivot(t: float, losers: np.ndarray, sigma: float) -> tuple:

@@ -58,6 +58,18 @@ class TestDecompose:
         conf = decompose(y, GAUSS)
         assert conf.theta_hat == pytest.approx(float(y.mean()), abs=1e-10)
 
+    def test_gaussian_residuals_sum_to_zero(self):
+        # a two-point difference of step 1e-6 left sums up to 1.4e-9 here;
+        # the five-point one of step 1e-3 rounds to about eps / 1e-3 per
+        # observation
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            y = 0.5 + rng.standard_normal(5)
+            conf = decompose(y, GAUSS)
+            scale = max(1.0, float(np.abs(y).max()))
+            assert abs(conf.theta_hat - float(y.mean())) <= 1e-12 * scale
+            assert abs(float(conf.residuals.sum())) <= 1e-12 * scale
+
     def test_laplace_mle_is_median(self):
         y = np.array([0.3, -1.2, 0.8, 2.0, -0.5, 0.1, 0.9])
         conf = decompose(y, LAPLACE)

@@ -19,6 +19,7 @@ from selectcond.two_stage import (
     sample_size_pmf_given_selection,
     unconditional_loglik,
     _conditional_mle,
+    _sum_tail,
     _unconditional_mle,
 )
 from selectcond.distributions import TruncatedGaussian, truncated_logpdf
@@ -290,3 +291,21 @@ class TestDeepPrecision:
         assert _conditional_mle(data) == pytest.approx(root, rel=1e-12, abs=0.0)
         assert _unconditional_mle(data, SampleSizePrior.point_mass(1)) == pytest.approx(
             root, rel=1e-12, abs=0.0)
+
+
+class TestMixtureTail:
+    """The tail under a prior on n1 mixes the point-mass tails with the
+    selective pmf of n1."""
+
+    PRIOR = SampleSizePrior((5, 10, 20), np.array([0.3, 0.4, 0.3]))
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.floats(-1.5, 2.5), st.floats(-20.0, 80.0), st.booleans(),
+           st.sampled_from([0, 1, 20]))
+    def test_mixture_of_point_mass_tails(self, theta, s, upper, n2):
+        z = 1.96
+        pmf = sample_size_pmf_given_selection(self.PRIOR, theta, z)
+        want = sum(p * _sum_tail(s, SampleSizePrior.point_mass(k), n2, z, theta, upper)
+                   for k, p in zip(self.PRIOR.support, pmf))
+        got = _sum_tail(s, self.PRIOR, n2, z, theta, upper)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
