@@ -201,21 +201,21 @@ def _sum_tail(s: float, prior: SampleSizePrior, n2: int, z: float, theta: float,
                               for lp, a, b in zip(log_p, cut, hi_z)])
         return math.exp(min(log_num - log_den, 0.0))
     # the integrand piles up near c when the truncation is deep; its decay
-    # scale there is k / (c - mean1) where that is below the usual sd1
+    # scale there is k / (c - mean1) = sd1 / (z - theta sd1) where that is below sd1
     c = z * sd1
-    bscale = np.maximum(sd1 / np.maximum(1.0, (c - mean1) * sd1 / k), 1e-12)[:, None]
+    bscale = np.maximum(sd1 / np.maximum(1.0, z - theta * sd1), 1e-12)[:, None]
     top = np.maximum(mean1 + 12.0 * sd1, c + 45.0 * bscale[:, 0])[:, None]
     edges = np.concatenate((c[:, None] + bscale * _CUT_STEPS,
                             mean1[:, None] + sd1[:, None] * _MEAN_STEPS, top), axis=1)
-    edges = np.sort(np.minimum(np.maximum(edges, c[:, None]), top), axis=1)
+    # every candidate is at most top; those below the cut move onto it
+    edges = np.sort(np.maximum(edges, c[:, None]), axis=1)
     panels = edges[:, 1:] > edges[:, :-1]
     k1, s1, _, log_w = prior._terms[:, np.nonzero(panels)[0], None]
-    m1 = k1 * theta
     # P(S2 <= s - u) = Phi((s2 - u) / sd2), s2 = s - n2 theta; sd2 < 0 gives P(S2 > s - u)
     sd2, s2 = -math.sqrt(n2) if upper else math.sqrt(n2), s - n2 * theta
 
     def log_f(u):
-        return log_w - 0.5 * ((u - m1) / s1) ** 2 + log_ndtr((s2 - u) / sd2)
+        return log_w - 0.5 * ((u - k1 * theta) / s1) ** 2 + log_ndtr((s2 - u) / sd2)
 
     log_num = log_integral_panels(log_f, edges[:, :-1][panels], 16, hi=edges[:, 1:][panels])
     return math.exp(min(log_num - log_den, 0.0))
