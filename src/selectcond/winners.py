@@ -216,9 +216,9 @@ def _joint_pass(th: np.ndarray, y: np.ndarray, sigma: float) -> tuple:
     lo, hi = _window(t1, nuis, sigma)
     glx, log_glw = _leggauss(_GL_NODES)
     half = 0.5 * (hi - lo)
-    pts = 0.5 * (hi + lo) + half * glx
-    z1 = (pts - t1) / sigma
-    zo = (pts[:, None] - nuis[None, :]) / sigma
+    # node positions relative to theta_1, where rounding is relative to sigma, not to |theta|
+    z1 = (half / sigma) * (1.0 + glx) - _WINDOW_SIGMAS
+    zo = z1[:, None] + (t1 - nuis[None, :]) / sigma
     log_cdfs = log_ndtr(zo)
     log_nodes = std_normal_log_pdf(z1) + log_cdfs.sum(axis=1) + log_glw
     lse = _logsumexp(log_nodes)
@@ -240,8 +240,8 @@ def _joint_selective_mle(y: np.ndarray, sigma: float) -> np.ndarray:
     """Projected Newton on the box (y - 20 sigma, y + 10 sigma), the negative
     log likelihood being convex (the selected law is an exponential family in
     theta), holding a coordinate at a bound whose gradient points out. Armijo
-    backtracking runs until the Newton decrement g . H^-1 g is 1e-10, near
-    f's rounding; then full steps while it falls, and one last below 1e-16."""
+    backtracking runs until the Newton decrement g . H^-1 g nears f's rounding
+    (1e-10) or the step rounds away; full steps follow, one last below 1e-16."""
     lo, hi = y - 20.0 * sigma, y + 10.0 * sigma
     th, last = y.copy(), math.inf
     f, g, h = _joint_pass(th, y, sigma)
@@ -255,13 +255,13 @@ def _joint_selective_mle(y: np.ndarray, sigma: float) -> np.ndarray:
         last, t = (decrement if decrement <= 1e-10 else math.inf), 1.0
         while True:
             trial = np.clip(th + t * step, lo, hi)
+            if t < 1e-12 or np.array_equal(trial, th):
+                return th
             f_trial, g_trial, h_trial = _joint_pass(trial, y, sigma)
             if (f_trial <= f + 1e-4 * float(g @ (trial - th))
                     or (last < math.inf and f_trial < math.inf)):
                 break
             t *= 0.5
-            if t < 1e-12:
-                return th
         th, f, g, h = trial, f_trial, g_trial, h_trial
     return th
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 from scipy.special import log_ndtr, ndtr
 
+from selectcond import winners
 from selectcond.harness.scenarios import ks_uniform, rep_rng
 from selectcond.winners import (
     WinnersData,
@@ -393,3 +394,16 @@ class TestJointNewton:
         assert np.abs(_projected_gradient(th, y, 1.0)).max() <= 1e-8
         assert _negloglik(th, y) < lbfgsb_negloglik - 0.03
 
+    def test_stops_where_the_step_rounds_away(self, monkeypatch):
+        # |y| / sigma near 6e6: the likelihood's rounding stalls backtracking
+        # with the decrement at 2.7e-10, and a step that no longer moves theta
+        # used to be taken again and again, 1771 passes in all
+        y = np.array([6584.15215423795, 6584.15174925957, 6584.151364145411,
+                      6584.151818072871, 6584.151679371491, 6584.151922203143])
+        sigma = 0.0011188041053654281
+        calls = []
+        real = winners._joint_pass
+        monkeypatch.setattr(winners, "_joint_pass", lambda *a: calls.append(a) or real(*a))
+        th = _joint_selective_mle(y, sigma)
+        assert len(calls) <= 60
+        assert np.abs(_projected_gradient(th, y, sigma)).max() * sigma <= 1e-6
