@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -144,6 +145,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_infer(args) -> int:
     if not 0.0 < args.level < 1.0:
         raise _UsageError("--level must be in (0, 1)")
+    for flag, value in (("--sigma", args.sigma), ("--sigma2", args.sigma2)):
+        if not 0.0 < value < math.inf:
+            raise _UsageError(f"{flag} must be positive and finite")
     if args.scenario == "winners":
         y = _read_numbers(args.data)
         res = win.infer_winner(win.WinnersData(y, args.sigma), args.kind, args.level)
@@ -152,7 +156,7 @@ def _cmd_infer(args) -> int:
         if args.n1 is None:
             raise _UsageError("two-stage inference requires --n1")
         if not 1 <= args.n1 <= values.size:
-            raise ValueError("--n1 must split the supplied data")
+            raise _UsageError(f"--n1 must be in [1, {values.size}], the number of values")
         data = ts.TwoStageData(values[:args.n1], values[args.n1:], args.threshold)
         res = ts.infer_conditional(data, args.level)
     elif args.scenario == "location":

@@ -131,21 +131,14 @@ def _fd_score(theta: float, y: np.ndarray, fam: LocationFamily, h: float) -> flo
 def decompose(y, fam: LocationFamily, validate: bool = True) -> Configuration:
     """Split y into its location MLE and configuration.
 
-    A bounded scalar search localizes the optimum; a root solve on a
-    finite-difference score then pins it down far beyond the sqrt(eps)
-    floor of derivative-free minimization: a five-point one of step 1e-3
-    scale, or where log g has kinks a central one of step 1e-6 scale.
+    log g is concave, so the score decreases and the MLE is its root,
+    bracketed from the median with step scale/sqrt(n). The score is a
+    finite difference: a five-point one of step 1e-3 scale, or where log g
+    has kinks a central one of step 1e-6 scale.
     """
     y = np.asarray(y, dtype=float)
     if y.size < 1 or not np.all(np.isfinite(y)):
         raise ValueError("observations must be finite and nonempty")
-
-    def neg(theta):
-        return -float(np.sum(fam.log_g(y - theta)))
-
-    pad = 2.0 * fam.scale
-    res = optimize.minimize_scalar(neg, bounds=(float(y.min()) - pad, float(y.max()) + pad),
-                                   method="bounded", options={"xatol": 1e-10})
     # a five-point difference of step h, combined per observation before the
     # sum, which halves its rounding; where log g has kinks, a central one
     h = 1e-3 * fam.scale
@@ -156,9 +149,10 @@ def decompose(y, fam: LocationFamily, validate: bool = True) -> Configuration:
             return _fd_score(theta, y, fam, 1e-6 * fam.scale)
         return float(np.sum(fam.log_g((y - theta)[:, None] + shifts) @ weights))
 
-    root = solve_monotone(score, float(res.x), 4e-6 * fam.scale, float(np.abs(y).max()) + pad,
-                          1e-13, 1e-15)
-    theta_hat = root if math.isfinite(root) else float(res.x)
+    theta_hat = solve_monotone(score, float(np.median(y)), fam.scale / math.sqrt(y.size),
+                               float(np.abs(y).max()) + 2.0 * fam.scale, 1e-13, 1e-15)
+    if math.isinf(theta_hat):
+        raise RuntimeError(f"location MLE beyond the data, toward {theta_hat}")
 
     a = y - theta_hat
     if validate:

@@ -170,13 +170,12 @@ def conditional_loglik(data: TwoStageData, theta: float) -> float:
 def sample_size_pmf_given_selection(prior: SampleSizePrior, theta: float,
                                     threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
     """Post-selection pmf of n1: proportional to prior * Phi(theta*sqrt(n1) - z)."""
-    logs = np.array([
-        (math.log(p) if p > 0 else -math.inf) + _log_sel_prob(theta, k, threshold)
-        for k, p in zip(prior.support, prior.probs)
-    ])
-    if np.all(np.isneginf(logs)):
+    logs = [(math.log(p) if p > 0 else -math.inf) + _log_sel_prob(theta, k, threshold)
+            for k, p in zip(prior.support, prior.probs.tolist())]
+    log_den = _logsumexp(logs)
+    if log_den == -math.inf:
         raise ValueError("all selection-weighted masses are zero")
-    return np.exp(logs - _logsumexp(logs))
+    return np.array([math.exp(v - log_den) for v in logs])
 
 
 # inference: the total sum S is sufficient given n1, and its selective law
@@ -226,38 +225,34 @@ def _score(theta: float, data: TwoStageData, prior: SampleSizePrior) -> float:
     theta sqrt(k)) averaged over the selective pmf of n1 = k, through
     mills_excess so that nothing cancels when S1 barely passes the cut."""
     z, total, n = data.threshold, data.total_sum, data.n
-    log_den = _log_mixture_sel_prob(prior, theta, z)
-    return sum(math.exp(math.log(p) + _log_sel_prob(theta, k, z) - log_den)
-               * (total - (n - k) * theta
-                  - math.sqrt(k) * (z + mills_excess(z - theta * math.sqrt(k))))
-               for k, p in zip(prior.support, prior.probs) if p > 0)
-
-
-def _conditional_mle(data: TwoStageData) -> float:
-    # strictly concave (second derivative below -n2 <= 0): one score root
-    prior = SampleSizePrior.point_mass(data.n1)
-    raw = data.total_sum / data.n
-    est = solve_monotone(lambda th: _score(th, data, prior), raw, 1.0,
-                         abs(raw) + 1e4, 1e-10, 1e-15)
-    if math.isinf(est):
-        raise RuntimeError("conditional MLE bracket failed")
-    return est
+    weights = sample_size_pmf_given_selection(prior, theta, z)
+    return sum(w * (total - (n - k) * theta
+                    - math.sqrt(k) * (z + mills_excess(z - theta * math.sqrt(k))))
+               for k, w in zip(prior.support, weights.tolist()) if w > 0.0)
 
 
 def _unconditional_mle(data: TwoStageData, prior: SampleSizePrior) -> float:
-    # a mixture likelihood is only sure to be concave when n >= max(support)
-    def neg(theta):
-        return -unconditional_loglik(data, prior, theta)
-
+    # the score root: for the mixture M of selection probabilities, (log M)'' >=
+    # sum_k w_k k (log Phi)'' > -max k, so the log likelihood is concave when
+    # n >= max(support); below that a bounded search localizes the maximum
     raw = data.total_sum / data.n
-    span = 30.0 / math.sqrt(data.n)
-    res = optimize.minimize_scalar(neg, bounds=(raw - span - 3.0, raw + span + 3.0),
-                                   method="bounded", options={"xatol": 1e-8})
-    theta = float(res.x)
-    # polish on the score: the bounded search stalls near sqrt(eps) and at its box
-    polished = solve_monotone(lambda th: _score(th, data, prior), theta,
-                              1e-6, abs(raw) + 1e4, 1e-12, 1e-15)
-    return polished if math.isfinite(polished) else theta
+    center, step = raw, 1.0
+    if data.n < max(prior.support):
+        span = 30.0 / math.sqrt(data.n)
+        res = optimize.minimize_scalar(lambda th: -unconditional_loglik(data, prior, th),
+                                       bounds=(raw - span - 3.0, raw + span + 3.0),
+                                       method="bounded", options={"xatol": 1e-8})
+        # polished on the score: the bounded search stalls near sqrt(eps) and at its box
+        center, step = float(res.x), 1e-6
+    est = solve_monotone(lambda th: _score(th, data, prior), center, step,
+                         abs(raw) + 1e4, 1e-12, 1e-15)
+    if math.isinf(est) and step == 1.0:
+        raise RuntimeError("two-stage MLE bracket failed")
+    return est if math.isfinite(est) else center
+
+
+def _conditional_mle(data: TwoStageData) -> float:
+    return _unconditional_mle(data, SampleSizePrior.point_mass(data.n1))
 
 
 def _infer(data: TwoStageData, prior: SampleSizePrior, est: float, level: float,
@@ -326,14 +321,19 @@ def file_drawer_loglik(data: TwoStageData, theta: float,
 
 
 def file_drawer_mle(data: TwoStageData, randomization_scale: float = None) -> float:
+    """Under randomization, the root of the concave log likelihood's score S - n theta -
+    (n1 / r) hazard((z sqrt(n1) - theta n1) / r), r = sqrt(n1 + gamma^2), through
+    mills_excess and with its linear terms gathered: nothing cancels behind a deep cut."""
     if randomization_scale is None:
         return _conditional_mle(data)
-
-    def neg(theta):
-        return -file_drawer_loglik(data, theta, randomization_scale)
-
+    gamma = float(randomization_scale)
+    if gamma <= 0:
+        raise ValueError("randomization_scale must be positive")
+    n1, r2, cut = data.n1, data.n1 + gamma * gamma, data.threshold * math.sqrt(data.n1)
+    lead, slope, r = data.total_sum - n1 * cut / r2, data.n - n1 * n1 / r2, math.sqrt(r2)
     raw = data.total_sum / data.n
-    span = 30.0 / math.sqrt(data.n) + 3.0
-    res = optimize.minimize_scalar(neg, bounds=(raw - span, raw + span),
-                                   method="bounded", options={"xatol": 1e-10})
-    return float(res.x)
+    est = solve_monotone(lambda th: lead - slope * th - n1 / r * mills_excess((cut - th * n1) / r),
+                         raw, 1.0, abs(raw) + 1e4, 1e-14, 1e-15)
+    if math.isinf(est):
+        raise RuntimeError("file-drawer MLE bracket failed")
+    return est

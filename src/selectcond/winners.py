@@ -64,8 +64,8 @@ class WinnersData:
         arr = np.asarray(self.y, dtype=float).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "y", arr)
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
         idx = argmax_select(arr) if self.selected_index is None else int(self.selected_index)
         if arr[idx] < arr.max() or idx != int(np.argmax(arr)):
             raise ValueError("selected_index must attain the maximum (ties: lowest index)")
@@ -110,8 +110,8 @@ def log_normalizer_full(theta, sigma: float = 1.0) -> float:
     th = np.asarray(theta, dtype=float)
     if th.size < 2:
         raise ValueError("need at least two coordinates")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     t1 = float(th[0])
     lo, hi = _window(t1, th[1:], sigma)
     return _log_win_integral(lo, hi, t1, th[1:], sigma)
@@ -126,8 +126,8 @@ def normalizer_losers(theta1: float, losers, sigma: float = 1.0) -> float:
     arr = np.asarray(losers, dtype=float)
     if arr.size == 0:
         raise ValueError("losers must be nonempty")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     c = float(arr.max())
     return math.exp(float(log_ndtr((theta1 - c) / sigma)))
 

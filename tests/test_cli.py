@@ -188,8 +188,17 @@ class TestInfer:
         ["polyhedral", "--design", "{X}", "--data", "{y3}", "--threshold", "-1"],
         ["polyhedral", "--design", "{X}", "--data", "{y3}", "--threshold", "1.0",
          "--coordinate", "1"],
+        ["winners", "--data", "{y3}", "--sigma", "nan"],
+        ["winners", "--data", "{y3}", "--sigma", "inf"],
+        ["winners", "--data", "{y3}", "--sigma", "0"],
+        ["polyhedral", "--design", "{X}", "--data", "{y3}", "--threshold", "1.0",
+         "--sigma2", "-1"],
+        ["two-stage", "--data", "{y3}", "--n1", "0"],
+        ["two-stage", "--data", "{y3}", "--n1", "4"],
     ], ids=["level", "two-stage-level", "location-alpha", "location-level",
-            "polyhedral-threshold", "polyhedral-coordinate"])
+            "polyhedral-threshold", "polyhedral-coordinate", "winners-sigma-nan",
+            "winners-sigma-inf", "winners-sigma-zero", "polyhedral-sigma2",
+            "two-stage-n1-zero", "two-stage-n1-past-data"])
     def test_bad_flag_exits_one(self, tmp_path, capsys, argv):
         paths = {"y3": tmp_path / "y3.csv", "y5": tmp_path / "y5.csv",
                  "X": tmp_path / "X.csv"}

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtr, ndtri
@@ -385,3 +385,30 @@ class TestPinnedEstimate:
 
         root = brentq(score, t - 40.0, t + 5.0, xtol=1e-15, rtol=1e-15)
         assert res.estimate == pytest.approx(root, abs=1e-9)
+
+
+class TestTranslationEquivariance:
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from(["gaussian", "logistic"]), st.integers(0, 2**16),
+           st.integers(2, 8), st.floats(-60.0, 60.0))
+    def test_shift_moves_every_output(self, name, seed, n, a):
+        # shifting y and the null by a moves theta_hat, the estimate and both
+        # CI ends by a. Within half a standard error of the cut the information
+        # vanishes: the estimate is ill-conditioned, and the CI's search box,
+        # |theta| <= 50 + |t|, is not shift-invariant, so those data are left out
+        fam, alpha = get_family(name), 0.2
+        rng = np.random.default_rng(seed)
+        while True:
+            y = 0.5 * fam.scale + fam.sampler(rng, n)
+            conf = decompose(y, fam)
+            if location_pvalue(conf, fam) <= alpha:
+                break
+        r0 = selective_location_inference(conf, fam, alpha, 0.9)
+        cut = r0.diagnostics["selection_cutoff"]
+        assume(math.sqrt(n) * (conf.theta_hat - cut) >= 0.5 * fam.scale)
+        shifted = decompose(y + a, fam)
+        r1 = selective_location_inference(shifted, fam, alpha, 0.9, null_value=a)
+        tol = 1e-9 * max(1.0, abs(a))
+        assert shifted.theta_hat - conf.theta_hat == pytest.approx(a, abs=tol)
+        for got, want in ((r1.estimate, r0.estimate), *zip(r1.ci, r0.ci)):
+            assert got == want if math.isinf(want) else got - want == pytest.approx(a, abs=tol)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import mpmath
 from scipy.special import log_ndtr, ndtr
 
@@ -243,6 +243,65 @@ class TestUnconditionalMle:
         vals = np.array([unconditional_loglik(data, prior, t) for t in grid])
         oracle = float(grid[np.argmax(vals)])
         assert _unconditional_mle(data, prior) == pytest.approx(oracle, abs=2e-4)
+
+
+class TestScoreRoots:
+    """MLEs of concave log likelihoods are the roots of their scores."""
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.4, 3.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_randomized_file_drawer_mle_against_mpmath(self, gamma, seed):
+        # a bounded likelihood search stops near sqrt(eps): it was 3e-8 off
+        data = make_selected(0.8, 10, 10, seed)
+        with mpmath.workdps(40):
+            s, n1, n = mpmath.mpf(data.total_sum), data.n1, data.n
+            cut = mpmath.mpf(data.threshold) * mpmath.sqrt(n1)
+            r = mpmath.sqrt(n1 + mpmath.mpf(gamma) ** 2)
+
+            def score(th):
+                x = (th * n1 - cut) / r
+                return s - n * th - n1 / r * mpmath.npdf(x) / mpmath.ncdf(x)
+
+            root = float(mpmath.findroot(score, s / n))
+        assert file_drawer_mle(data, randomization_scale=gamma) == pytest.approx(
+            root, rel=1e-12, abs=0.0)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.floats(0.0, 2.0), st.integers(1, 12), st.integers(1, 12),
+           st.integers(0, 2**16), st.lists(st.integers(1, 24), max_size=3),
+           st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4))
+    def test_mle_is_a_maximum_when_concave(self, theta, n1, n2, seed, sizes, weights):
+        # max(support) <= n: the likelihood is concave and the MLE one score root.
+        # With no second stage, a point mass and S1 barely past the cut, the
+        # likelihood flattens far out (test_mle_when_stage1_barely_passes), and
+        # unconditional_loglik's own rounding there exceeds its fall over delta
+        data = make_selected(theta, n1, n2, seed)
+        support = sorted({n1, *(k for k in sizes if k <= data.n)})
+        probs = np.array(weights[:len(support)])
+        prior = SampleSizePrior(tuple(support), probs / probs.sum())
+        est = _unconditional_mle(data, prior)
+        at_est = unconditional_loglik(data, prior, est)
+        for delta in (1e-4, 1e-2, 1.0):
+            assert at_est >= unconditional_loglik(data, prior, est - delta)
+            assert at_est >= unconditional_loglik(data, prior, est + delta)
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(1, 10), st.integers(0, 20), st.integers(0, 2**16),
+           st.floats(-60.0, 60.0))
+    def test_conditional_translation_equivariance(self, n1, n2, seed, a):
+        # shifting both stages by a and the threshold by a sqrt(n1) shifts theta by a.
+        # Within half a standard error of the cut the estimate runs far out and is
+        # ill-conditioned, and the CI's search box, |theta| <= 50 + |estimate|, is
+        # not shift-invariant, so those data are left out
+        data = make_selected(0.5, n1, n2, seed)
+        assume(data.stage1_sum - data.threshold * math.sqrt(n1) >= 0.5 * math.sqrt(n1))
+        shifted = TwoStageData(data.stage1 + a, data.stage2 + a,
+                               data.threshold + a * math.sqrt(n1))
+        r0, r1 = infer_conditional(data), infer_conditional(shifted)
+        tol = 1e-9 * max(1.0, abs(a))
+        for got, want in ((r1.estimate, r0.estimate), *zip(r1.ci, r0.ci)):
+            # an end that escaped the search box keeps its infinite side
+            assert got == want if math.isinf(want) else got - want == pytest.approx(a, abs=tol)
 
 
 @pytest.mark.parametrize("level", [0.0, 1.0, 1.5])

@@ -282,8 +282,13 @@ class TestWinnersData:
             WinnersData(np.array([0.5, 2.0, 1.0]), selected_index=0)
 
     def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            WinnersData(np.array([0.5, 2.0]), sigma=0.0)
+        for sigma in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                WinnersData(np.array([0.5, 2.0]), sigma=sigma)
+            with pytest.raises(ValueError):
+                log_normalizer_full([1.0, 0.0], sigma)
+            with pytest.raises(ValueError):
+                normalizer_losers(1.0, [0.0], sigma)
 
 
 class TestFullVectorUpperTail:
