@@ -235,9 +235,9 @@ def _unconditional_mle(data: TwoStageData, prior: SampleSizePrior) -> float:
     # the score root: for the mixture M of selection probabilities, (log M)'' >=
     # sum_k w_k k (log Phi)'' > -max k, so the log likelihood is concave when
     # n >= max(support); below that a bounded search localizes the maximum
-    raw = data.total_sum / data.n
+    raw, concave = data.total_sum / data.n, data.n >= max(prior.support)
     center, step = raw, 1.0
-    if data.n < max(prior.support):
+    if not concave:
         span = 30.0 / math.sqrt(data.n)
         res = optimize.minimize_scalar(lambda th: -unconditional_loglik(data, prior, th),
                                        bounds=(raw - span - 3.0, raw + span + 3.0),
@@ -246,7 +246,7 @@ def _unconditional_mle(data: TwoStageData, prior: SampleSizePrior) -> float:
         center, step = float(res.x), 1e-6
     est = solve_monotone(lambda th: _score(th, data, prior), center, step,
                          abs(raw) + 1e4, 1e-12, 1e-15)
-    if math.isinf(est) and step == 1.0:
+    if math.isinf(est) and concave:
         raise RuntimeError("two-stage MLE bracket failed")
     return est if math.isfinite(est) else center
 
