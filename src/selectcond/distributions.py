@@ -19,7 +19,6 @@ __all__ = [
     "TruncatedGaussian",
     "std_normal_cdf",
     "std_normal_sf",
-    "std_normal_log_cdf",
     "std_normal_log_sf",
     "std_normal_quantile",
     "std_normal_log_pdf",
@@ -51,10 +50,6 @@ def std_normal_cdf(x):
 def std_normal_sf(x):
     """Standard normal survival function 1 - Phi(x) with full relative accuracy."""
     return ndtr(-np.asarray(x, dtype=float))
-
-
-def std_normal_log_cdf(x):
-    return log_ndtr(x)
 
 
 def std_normal_log_sf(x):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 from scipy.integrate import quad
 from scipy.special import ndtri
 
@@ -44,7 +43,7 @@ class LocationFamily:
     scale is the standard deviation of g, used only to size quadrature
     windows and optimizer brackets. sampler(rng, size) draws from g.
     kinks lists points where log_g is not smooth, so quadrature panels
-    can break there.
+    can break there and the selective MLE can be sought there.
     """
 
     name: str
@@ -298,41 +297,37 @@ def selective_location_inference(conf: Configuration, fam: LocationFamily,
         return math.exp(log_sf) if upper else -math.expm1(log_sf)
 
     diagnostics = {"selection_cutoff": t_alpha, "selection_alpha": selection_alpha}
-    if t_alpha != -math.inf and t - t_alpha <= 1e-12 * max(1.0, abs(t_alpha)):
+    estimate = -math.inf
+    if t_alpha == -math.inf or t - t_alpha > 1e-12 * max(1.0, abs(t_alpha)):
+        # the best of the score's root and the kinks of log g in the box
+        # [t - 30 scale, t + 10 scale]: the gaussian likelihood is concave, the
+        # laplace one convex between observations, and no logistic sample has
+        # shown a second maximum. The score is a five-point difference of the
+        # density term plus L'(t_alpha - theta) = -exp(log f - L), exact
+        h = 1e-3 * fam.scale
+        y = a + t
+        lo, hi = t - 30.0 * fam.scale, t + 10.0 * fam.scale
+
+        def score(theta):
+            x = t_alpha - theta
+            cut = 0.0 if x == -math.inf else math.exp(_profile_loglik(x, a, fam) - log_tail(x))
+            return (4.0 * _fd_score(theta, y, fam, h) - _fd_score(theta, y, fam, 2.0 * h)) \
+                / 3.0 - cut
+
+        def loglik(theta):
+            return float(_profile_loglik(t - theta, a, fam)) - log_den(theta)
+
+        root = solve_monotone(score, t, fam.scale / math.sqrt(conf.n), abs(t) + 30.0 * fam.scale,
+                              1e-13, 1e-15)
+        kinks = [float(x) for k0 in fam.kinks for x in y - k0]
+        left = loglik(lo)
+        best, best_ll = max(((x, loglik(x)) for x in [root, *kinks] if lo <= x <= hi),
+                            key=lambda c: c[1], default=(lo, left))
+        # a likelihood that only levels off toward -inf is divergent
+        if best_ll - left > 1e-8 * max(1.0, abs(best_ll)):
+            estimate = best
+    if estimate == -math.inf:
         diagnostics["flags"] = ["divergent-mle"]
-        estimate = -math.inf
-    else:
-        def negloglik(theta):
-            return -(_profile_loglik(t - theta, a, fam) - log_den(theta))
-
-        span = 30.0 * fam.scale
-        res = optimize.minimize_scalar(negloglik, bounds=(t - span, t + 10.0 * fam.scale),
-                                       method="bounded", options={"xatol": 1e-10})
-        estimate = float(res.x)
-        # a likelihood that only levels off toward -inf leaves the bounded
-        # search anywhere on its plateau: compare with the box's left end
-        left = negloglik(t - span)
-        if (estimate <= t - span + 1e-6 * fam.scale
-                or left - res.fun <= 1e-8 * max(1.0, abs(res.fun))):
-            diagnostics["flags"] = ["divergent-mle"]
-            estimate = -math.inf
-        else:
-            # pin it at the root of the score: a five-point difference of the
-            # density term plus L'(t_alpha - theta) = -exp(log f - L), exact;
-            # past the box or with a kink of log g in the stencil, it stands
-            h = 1e-3 * fam.scale
-            y = a + t
-
-            def score(theta):
-                x = t_alpha - theta
-                cut = 0.0 if x == -math.inf else math.exp(_profile_loglik(x, a, fam) - log_tail(x))
-                return (4.0 * _fd_score(theta, y, fam, h) - _fd_score(theta, y, fam, 2.0 * h)) \
-                    / 3.0 - cut
-
-            root = solve_monotone(score, estimate, 1e-6 * fam.scale, abs(t) + span, 1e-13, 1e-15)
-            if math.isfinite(root) and not any(np.any(np.abs(y - k0 - root) < 2.0 * h)
-                                               for k0 in fam.kinks):
-                estimate = root
 
     return equal_tailed_inference(tail, ci_level, t, fam.scale / math.sqrt(conf.n), estimate,
                                   f"location-{fam.name}", diagnostics, null_value)

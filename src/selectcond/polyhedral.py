@@ -58,10 +58,6 @@ class Polyhedron:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
-    @property
-    def dim(self) -> int:
-        return self.A.shape[1]
-
     def contains(self, y, slack: float = FEASIBILITY_SLACK) -> bool:
         y = np.asarray(y, dtype=float)
         return bool(np.all(self.A @ y <= self.b + slack))

@@ -5,14 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from selectcond import location
 from selectcond.distributions import TruncatedGaussian, truncated_cdf
-from selectcond.harness.scenarios import ks_uniform, run_replication
+from selectcond.harness.scenarios import ks_uniform, rep_rng, run_replication
 from selectcond.location import (
     Configuration,
     LocationFamily,
@@ -387,28 +387,75 @@ class TestPinnedEstimate:
         assert res.estimate == pytest.approx(root, abs=1e-9)
 
 
+def _check_shift_equivariance(fam, seed, n, a):
+    # shifting y and the null by a moves theta_hat, the estimate and both
+    # CI ends by a. Within half a standard error of the cut the information
+    # vanishes: the estimate is ill-conditioned, and the CI's search box,
+    # |theta| <= 50 + |t|, is not shift-invariant, so those data are left out
+    alpha = 0.2
+    rng = np.random.default_rng(seed)
+    while True:
+        y = 0.5 * fam.scale + fam.sampler(rng, n)
+        conf = decompose(y, fam)
+        if location_pvalue(conf, fam) <= alpha:
+            break
+    r0 = selective_location_inference(conf, fam, alpha, 0.9)
+    cut = r0.diagnostics["selection_cutoff"]
+    assume(math.sqrt(n) * (conf.theta_hat - cut) >= 0.5 * fam.scale)
+    shifted = decompose(y + a, fam)
+    r1 = selective_location_inference(shifted, fam, alpha, 0.9, null_value=a)
+    tol = 1e-9 * max(1.0, abs(a))
+    assert shifted.theta_hat - conf.theta_hat == pytest.approx(a, abs=tol)
+    for got, want in ((r1.estimate, r0.estimate), *zip(r1.ci, r0.ci)):
+        assert got == want if math.isinf(want) else got - want == pytest.approx(a, abs=tol)
+
+
 class TestTranslationEquivariance:
     @settings(deadline=None, max_examples=40)
     @given(st.sampled_from(["gaussian", "logistic"]), st.integers(0, 2**16),
            st.integers(2, 8), st.floats(-60.0, 60.0))
     def test_shift_moves_every_output(self, name, seed, n, a):
-        # shifting y and the null by a moves theta_hat, the estimate and both
-        # CI ends by a. Within half a standard error of the cut the information
-        # vanishes: the estimate is ill-conditioned, and the CI's search box,
-        # |theta| <= 50 + |t|, is not shift-invariant, so those data are left out
-        fam, alpha = get_family(name), 0.2
-        rng = np.random.default_rng(seed)
+        _check_shift_equivariance(get_family(name), seed, n, a)
+
+    @settings(deadline=None, max_examples=150)
+    @example(0, 5, 1.0)
+    @given(st.integers(0, 2**16), st.sampled_from([3, 5, 7]), st.floats(-60.0, 60.0))
+    def test_laplace_shift_moves_every_output(self, seed, n, a):
+        # odd n only: an even sample's likelihood is flat between its middle
+        # pair, where decompose may return any point
+        _check_shift_equivariance(LAPLACE, seed, n, a)
+
+
+class TestLaplaceEstimate:
+    # the likelihood is convex between observations, so it peaks at one of
+    # them or on the plateau theta <= t_alpha + min a_i
+    Y = np.array([2.169436769435121, 1.845088847979993, 0.8885964257239388,
+                  1.554745953903276, -1.676850990188195])
+
+    @pytest.mark.parametrize("a", [0.0, 5.0, 43.24004234352887, -20.0])
+    def test_peak_at_the_median(self, a):
+        conf = decompose(self.Y + a, LAPLACE)
+        res = selective_location_inference(conf, LAPLACE, 0.2, 0.9, null_value=a)
+        assert res.estimate - a == pytest.approx(1.554745953903276, abs=1e-9 * max(1.0, abs(a)))
+        assert "flags" not in res.diagnostics
+
+    @pytest.mark.parametrize("rep", range(12))
+    def test_estimate_maximizes_the_likelihood(self, rep):
+        # drawn as location-coverage draws them; the grid spans the box
+        # [t - 30 scale, t + 10 scale] and adds the observations
+        rng, alpha = rep_rng(20260808, rep), 0.1
         while True:
-            y = 0.5 * fam.scale + fam.sampler(rng, n)
-            conf = decompose(y, fam)
-            if location_pvalue(conf, fam) <= alpha:
+            conf = decompose(1.0 + LAPLACE.sampler(rng, 5), LAPLACE)
+            if location_pvalue(conf, LAPLACE) <= alpha:
                 break
-        r0 = selective_location_inference(conf, fam, alpha, 0.9)
-        cut = r0.diagnostics["selection_cutoff"]
-        assume(math.sqrt(n) * (conf.theta_hat - cut) >= 0.5 * fam.scale)
-        shifted = decompose(y + a, fam)
-        r1 = selective_location_inference(shifted, fam, alpha, 0.9, null_value=a)
-        tol = 1e-9 * max(1.0, abs(a))
-        assert shifted.theta_hat - conf.theta_hat == pytest.approx(a, abs=tol)
-        for got, want in ((r1.estimate, r0.estimate), *zip(r1.ci, r0.ci)):
-            assert got == want if math.isinf(want) else got - want == pytest.approx(a, abs=tol)
+        res = selective_location_inference(conf, LAPLACE, alpha, 0.9)
+        t, a, cut = conf.theta_hat, conf.residuals, res.diagnostics["selection_cutoff"]
+        log_tail = _tail_table(a, LAPLACE)
+
+        def loglik(theta):
+            return float(_profile_loglik(t - theta, a, LAPLACE)) - log_tail(cut - theta)
+
+        s = LAPLACE.scale
+        grid = np.concatenate([np.linspace(t - 30.0 * s, t + 10.0 * s, 20001), a + t])
+        assert math.isfinite(res.estimate)
+        assert loglik(res.estimate) >= max(map(loglik, grid)) - 1e-12
