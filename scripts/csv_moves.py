@@ -5,8 +5,10 @@
 OLD and NEW are directories holding `<scenario>.csv` and
 `<scenario>.summary.json` files at any depth; files pair up by their path
 below the tree's root. For each CSV the report gives the row count and
-the number of rows that differ; per column, the fields that moved and the
-largest relative move; then the `covered` flips and the flag changes. For
+the number of rows that differ; per column, the fields that moved, the
+largest relative move among those finite on both sides, and, where any
+did, how many turned infinite and how many turned finite; then the
+`covered` flips and the flag changes. For
 each summary it lists the keys whose values differ, with both values.
 Fields compare by their text, so a move of one ulp shows. The exit code
 is 0 when the trees match, 1 when anything differs.
@@ -26,12 +28,6 @@ NUMERIC = ("estimate", "lo", "hi", "covered", "length", "pvalue")
 SHOWN = 5
 
 
-def _relative_move(a: float, b: float) -> float:
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
-
-
 def _csv_report(name: str, old_text: str, new_text: str) -> list:
     old, new = csv_to_rows(old_text), csv_to_rows(new_text)
     lines = []
@@ -44,7 +40,7 @@ def _csv_report(name: str, old_text: str, new_text: str) -> list:
         row_differs = a["rep"] != b["rep"] or a["flags"] != b["flags"]
         for col in NUMERIC:
             if repr(a[col]) != repr(b[col]):
-                moved[col].append((_relative_move(a[col], b[col]), a["rep"]))
+                moved[col].append((a[col], b[col], a["rep"]))
                 row_differs = True
         if repr(a["covered"]) != repr(b["covered"]):
             flips.append(f"rep {a['rep']}: {a['covered']} -> {b['covered']}")
@@ -52,11 +48,20 @@ def _csv_report(name: str, old_text: str, new_text: str) -> list:
             flag_changes.append(f"rep {a['rep']}: {a['flags']!r} -> {b['flags']!r}")
         differ += row_differs
     lines.insert(0, f"{name}: {differ} of {len(new)} rows differ")
-    for col in NUMERIC:
-        if moved[col]:
-            rel, rep = max(moved[col])
-            lines.append(f"  {col}: {len(moved[col])} moved, largest relative move "
-                         f"{rel:.3g} (rep {rep})")
+    for col, pairs in moved.items():
+        if not pairs:
+            continue
+        finite = [(abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0, rep)
+                  for x, y, rep in pairs if math.isfinite(x) and math.isfinite(y)]
+        line = f"  {col}: {len(pairs)} moved"
+        if finite:
+            rel, rep = max(finite)
+            line += f", largest relative move {rel:.3g} (rep {rep})"
+        lines.append(line)
+        to_inf = sum(math.isfinite(x) and math.isinf(y) for x, y, _ in pairs)
+        to_fin = sum(math.isinf(x) and math.isfinite(y) for x, y, _ in pairs)
+        if to_inf or to_fin:
+            lines.append(f"  {col}: {to_inf} turned infinite, {to_fin} turned finite")
     for label, items in (("covered flips", flips), ("flag changes", flag_changes)):
         lines.append(f"  {label}: {len(items)}")
         lines += [f"    {item}" for item in items[:SHOWN]]

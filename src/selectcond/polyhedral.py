@@ -224,9 +224,7 @@ def selective_ci_linear(events, target: LinearTarget, y, sigma2: float,
     def cdf(psi):
         return truncated_cdf(t, TruncatedGaussian(psi, sd, intervals))
 
-    limit = 50.0 * max(1.0, sd) + abs(t)
-    return invert_equal_tailed(cdf, level, t, step=sd, limit=limit,
-                               diagnostics=diagnostics)
+    return invert_equal_tailed(cdf, level, t, step=sd, diagnostics=diagnostics)
 
 
 def classical_ci_linear(target: LinearTarget, y, sigma2: float,

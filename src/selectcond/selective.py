@@ -507,21 +507,21 @@ def solve_monotone(g, center: float, step: float, limit: float,
 
 
 def invert_monotone_cdf(cdf_in_theta, observed_level: float, center: float,
-                        step: float = 1.0, limit: float = 50.0) -> float:
+                        step: float = 1.0) -> float:
     """Solve cdf(theta) = observed_level for a CDF decreasing in theta; a
-    solution outside |theta| <= limit reads -inf or +inf, the side it lies on.
+    solution outside |theta - center| <= 50 max(1, step) reads -inf or +inf.
 
-    The solve runs on the probit pivot ndtri(cdf) - ndtri(observed_level),
-    exactly linear in theta for an untruncated Gaussian; a CDF of 0 or 1
-    maps to -inf or +inf, which keeps the sign."""
+    The solve runs in theta - center on the probit pivot ndtri(cdf) -
+    ndtri(observed_level), exactly linear in theta for an untruncated
+    Gaussian; a CDF of 0 or 1 maps to -inf or +inf, which keeps the sign."""
     z = float(ndtri(observed_level))
-    return solve_monotone(lambda th: float(ndtri(cdf_in_theta(th))) - z,
-                          center, step, limit, 1e-8, 1e-14)
+    return center + solve_monotone(
+        lambda u: float(ndtri(cdf_in_theta(center + u))) - z,
+        0.0, step, 50.0 * max(1.0, step), 1e-8, 1e-14)
 
 
 def invert_equal_tailed(cdf_in_theta, level: float, center: float,
-                        step: float = 1.0, limit: float = 50.0,
-                        diagnostics: Optional[dict] = None) -> tuple:
+                        step: float = 1.0, diagnostics: Optional[dict] = None) -> tuple:
     """Equal-tailed interval endpoints, recording rather than raising when an
     endpoint escapes the search box: it becomes -inf or +inf on the side it
     escaped to, flagged unbounded-ci-lower or unbounded-ci-upper.
@@ -538,7 +538,7 @@ def invert_equal_tailed(cdf_in_theta, level: float, center: float,
     def cdf(th):
         return at_center if th == center else cdf_in_theta(th)
 
-    ends = tuple(invert_monotone_cdf(cdf, observed_level, center, step=step, limit=limit)
+    ends = tuple(invert_monotone_cdf(cdf, observed_level, center, step=step)
                  for observed_level in (1.0 - alpha / 2.0, alpha / 2.0))
     for side, end in zip(("lower", "upper"), ends):
         if math.isinf(end) and diagnostics is not None:
@@ -552,10 +552,9 @@ def equal_tailed_inference(tail, level: float, center: float, step: float,
     """Estimate, equal-tailed CI and p-value from one pivot: tail(theta,
     upper) is P_theta(T > t | selection) if upper, else P_theta(T <= t |
     selection), each side computed on its own. The CI inverts the lower tail
-    inside |theta| <= 50 max(1, step) + |center|; the p-value is the upper
+    inside |theta - center| <= 50 max(1, step); the p-value is the upper
     tail at theta = null, so a small one keeps its relative accuracy."""
     ci = invert_equal_tailed(lambda th: tail(th, False), level, center, step=step,
-                             limit=50.0 * max(1.0, step) + abs(center),
                              diagnostics=diagnostics)
     return InferenceResult(estimate, ci, tail(null, True), kind, diagnostics)
 
@@ -566,7 +565,7 @@ def selective_ci(model: SelectiveModel, y: float, level: float = 0.95,
 
     Valid for scalar targets with a selective CDF monotone (decreasing) in
     the parameter, which covers every 1-D Gaussian-derived model here. An
-    endpoint beyond |theta| = 50 is reported as -inf or +inf, as in
+    endpoint beyond |theta - y| = 50 is reported as -inf or +inf, as in
     invert_equal_tailed.
     """
     def cdf(th):

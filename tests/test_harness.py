@@ -300,3 +300,28 @@ class TestCsvMovesScript:
         assert match and 0.0 < float(match.group(1)) <= 2.3e-16
         assert "  covered flips: 0" in lines and "  flag changes: 0" in lines
         assert lines[-1] == "winners-coverage.summary.json: 0 differing key(s)"
+
+    def test_counts_ends_turned_infinite_apart(self, tmp_path):
+        # one lo moves by an ulp and one to -inf: the largest relative move
+        # is the finite one, and the infinite one is counted on its own line
+        for name in ("old", "new"):
+            write_outputs(run(winners_cfg(n_reps=5)), tmp_path / name)
+        csv_path = tmp_path / "new" / "winners-coverage.csv"
+        rows = csv_to_rows(csv_path.read_text())
+        finite = [i for i, row in enumerate(rows) if math.isfinite(row["lo"])]
+        assert len(finite) >= 2
+        rows[finite[0]]["lo"] = math.nextafter(rows[finite[0]]["lo"], math.inf)
+        rows[finite[1]]["lo"] = -math.inf
+        csv_path.write_text(rows_to_csv(rows))
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
+        out = subprocess.run(
+            [sys.executable, str(self.ROOT / "scripts" / "csv_moves.py"),
+             str(tmp_path / "old"), str(tmp_path / "new")],
+            capture_output=True, text=True, env=env, check=False)
+        assert out.returncode == 1, out.stderr
+        lines = out.stdout.splitlines()
+        match = re.fullmatch(r"  lo: 2 moved, largest relative move (\S+) \(rep (\d+)\)",
+                             lines[1])
+        assert match and 0.0 < float(match.group(1)) <= 2.3e-16
+        assert int(match.group(2)) == rows[finite[0]]["rep"]
+        assert lines[2] == "  lo: 1 turned infinite, 0 turned finite"

@@ -267,6 +267,19 @@ class TestSelectiveInference:
         if math.isfinite(r0.ci[0]):
             assert r1.ci[0] - r0.ci[0] == pytest.approx(delta, abs=1e-6)
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(["gaussian", "laplace", "logistic"]), st.integers(0, 2**16),
+           st.integers(2, 8), st.sampled_from([0.05, 0.2, 0.5]),
+           st.lists(st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99]), min_size=2, max_size=2,
+                    unique=True))
+    def test_ci_nests_in_level(self, name, seed, n, alpha, levels):
+        narrow, wide = sorted(levels)
+        fam = get_family(name)
+        conf = decompose(_draw_selected(fam, seed, n, alpha), fam)
+        lo1, hi1 = selective_location_inference(conf, fam, alpha, narrow).ci
+        lo2, hi2 = selective_location_inference(conf, fam, alpha, wide).ci
+        assert lo2 <= lo1 <= hi1 <= hi2
+
     def test_conditional_density_integrates_to_one(self):
         for fam in (GAUSS, LAPLACE, LOGISTIC):
             conf = decompose(np.array([0.5, -0.2, 1.1, 0.7]), fam)
@@ -387,18 +400,21 @@ class TestPinnedEstimate:
         assert res.estimate == pytest.approx(root, abs=1e-9)
 
 
-def _check_shift_equivariance(fam, seed, n, a):
-    # shifting y and the null by a moves theta_hat, the estimate and both
-    # CI ends by a. Within half a standard error of the cut the information
-    # vanishes: the estimate is ill-conditioned, and the CI's search box,
-    # |theta| <= 50 + |t|, is not shift-invariant, so those data are left out
-    alpha = 0.2
+def _draw_selected(fam, seed, n, alpha):
     rng = np.random.default_rng(seed)
     while True:
         y = 0.5 * fam.scale + fam.sampler(rng, n)
-        conf = decompose(y, fam)
-        if location_pvalue(conf, fam) <= alpha:
-            break
+        if location_pvalue(decompose(y, fam), fam) <= alpha:
+            return y
+
+
+def _check_shift_equivariance(fam, seed, n, a):
+    # shifting y and the null by a moves theta_hat, the estimate and both
+    # CI ends by a. Within half a standard error of the cut the information
+    # vanishes and the estimate is ill-conditioned, so those data are left out
+    alpha = 0.2
+    y = _draw_selected(fam, seed, n, alpha)
+    conf = decompose(y, fam)
     r0 = selective_location_inference(conf, fam, alpha, 0.9)
     cut = r0.diagnostics["selection_cutoff"]
     assume(math.sqrt(n) * (conf.theta_hat - cut) >= 0.5 * fam.scale)
@@ -407,6 +423,24 @@ def _check_shift_equivariance(fam, seed, n, a):
     tol = 1e-9 * max(1.0, abs(a))
     assert shifted.theta_hat - conf.theta_hat == pytest.approx(a, abs=tol)
     for got, want in ((r1.estimate, r0.estimate), *zip(r1.ci, r0.ci)):
+        assert got == want if math.isinf(want) else got - want == pytest.approx(a, abs=tol)
+
+
+def _check_ci_shift_equivariance(fam, seed, n, a):
+    # the CI's search box is centred at theta_hat, so both CI ends move by a,
+    # or keep their infinite side, at any distance from the cut; the estimate
+    # is checked only where it is well-conditioned, half a standard error or
+    # more above the cut
+    alpha = 0.2
+    y = _draw_selected(fam, seed, n, alpha)
+    conf, shifted = decompose(y, fam), decompose(y + a, fam)
+    r0 = selective_location_inference(conf, fam, alpha, 0.9)
+    r1 = selective_location_inference(shifted, fam, alpha, 0.9, null_value=a)
+    pairs = list(zip(r1.ci, r0.ci))
+    if math.sqrt(n) * (conf.theta_hat - r0.diagnostics["selection_cutoff"]) >= 0.5 * fam.scale:
+        pairs.append((r1.estimate, r0.estimate))
+    tol = 1e-9 * max(1.0, abs(a))
+    for got, want in pairs:
         assert got == want if math.isinf(want) else got - want == pytest.approx(a, abs=tol)
 
 
@@ -424,6 +458,21 @@ class TestTranslationEquivariance:
         # odd n only: an even sample's likelihood is flat between its middle
         # pair, where decompose may return any point
         _check_shift_equivariance(LAPLACE, seed, n, a)
+
+    # the examples lie within 0.05 standard errors of the cut
+    @settings(deadline=None, max_examples=150)
+    @example("gaussian", 29, 2, 43.24004234352887)
+    @example("gaussian", 42, 3, 43.24004234352887)
+    @given(st.sampled_from(["gaussian", "logistic"]), st.integers(0, 2**16),
+           st.integers(2, 8), st.floats(-60.0, 60.0))
+    def test_ci_ends_move_at_any_distance_from_the_cut(self, name, seed, n, a):
+        _check_ci_shift_equivariance(get_family(name), seed, n, a)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(0, 2**16), st.sampled_from([3, 5, 7]), st.floats(-60.0, 60.0))
+    def test_laplace_ci_ends_move_at_any_distance_from_the_cut(self, seed, n, a):
+        # odd n only, as above
+        _check_ci_shift_equivariance(LAPLACE, seed, n, a)
 
 
 class TestLaplaceEstimate:

@@ -341,3 +341,12 @@ class TestProperties:
         poly, tgt, y = inst
         lo, hi = truncation_bounds(poly, tgt, y)
         assert lo - 1e-9 <= tgt.statistic(y) <= hi + 1e-9
+
+    @settings(deadline=None, max_examples=80)
+    @given(feasible_instances(), st.floats(-40.0, 40.0), st.floats(0.05, 5.0))
+    def test_pvalue_in_unit_interval(self, inst, psi0, sigma2):
+        # this path builds no InferenceResult, whose own check would catch it
+        poly, tgt, y = inst
+        for alternative in ("greater", "less", "two-sided"):
+            p = selective_pvalue_linear(poly, tgt, y, sigma2, psi0, alternative)
+            assert 0.0 <= p <= 1.0

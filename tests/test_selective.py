@@ -375,6 +375,17 @@ class TestInvertEqualTailed:
         assert invert_monotone_cdf(lambda th: float(ndtr(1.0 - th)), 0.5, 0.0) \
             == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("center", [-100.0, -20.0, 0.0, 20.0, 100.0])
+    @pytest.mark.parametrize("offset, step, want", [
+        (-60.0, 1.0, -math.inf), (-40.0, 1.0, -40.0), (60.0, 1.0, math.inf),
+        (40.0, 1.0, 40.0), (-90.0, 2.0, -90.0), (-110.0, 2.0, -math.inf)])
+    def test_box_is_centred_at_center(self, center, offset, step, want):
+        # the box |theta - center| <= 50 max(1, step) moves with center, so
+        # the solution's offset from center reads the same wherever it sits
+        got = invert_monotone_cdf(lambda th: float(ndtr((center + offset - th) / step)),
+                                  0.5, center, step=step)
+        assert got - center == (want if math.isinf(want) else pytest.approx(want, abs=1e-8))
+
 
 class TestModelPivots:
     """Each model hands equal_tailed_inference the two tails of its pivot:

@@ -1,9 +1,10 @@
 """Tests for the two-stage screening models."""
 import math
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 import mpmath
 from scipy.special import log_ndtr, ndtr
 
@@ -180,6 +181,21 @@ class TestCompare:
         assert r1.estimate == r2.estimate
         assert r1.ci == r2.ci
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.floats(0.0, 1.5), st.integers(1, 12), st.integers(0, 20),
+           st.integers(0, 2**16), st.lists(st.integers(1, 24), max_size=3),
+           st.lists(st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99]), min_size=2, max_size=2,
+                    unique=True))
+    def test_ci_nests_in_level(self, theta, n1, n2, seed, sizes, levels):
+        narrow, wide = sorted(levels)
+        data = make_selected(theta, n1, n2, seed)
+        support = sorted({n1, *sizes})
+        prior = SampleSizePrior(tuple(support), np.full(len(support), 1.0 / len(support)))
+        for infer in (infer_conditional, partial(infer_unconditional, prior=prior)):
+            lo1, hi1 = infer(data, level=narrow).ci
+            lo2, hi2 = infer(data, level=wide).ci
+            assert lo2 <= lo1 <= hi1 <= hi2
+
     @pytest.mark.slow
     def test_conditional_coverage_own_regimes(self):
         # conditional model under fixed-n1 resampling, unconditional model
@@ -291,8 +307,7 @@ class TestScoreRoots:
     def test_conditional_translation_equivariance(self, n1, n2, seed, a):
         # shifting both stages by a and the threshold by a sqrt(n1) shifts theta by a.
         # Within half a standard error of the cut the estimate runs far out and is
-        # ill-conditioned, and the CI's search box, |theta| <= 50 + |estimate|, is
-        # not shift-invariant, so those data are left out
+        # ill-conditioned, so those data are left out
         data = make_selected(0.5, n1, n2, seed)
         assume(data.stage1_sum - data.threshold * math.sqrt(n1) >= 0.5 * math.sqrt(n1))
         shifted = TwoStageData(data.stage1 + a, data.stage2 + a,
@@ -301,6 +316,25 @@ class TestScoreRoots:
         tol = 1e-9 * max(1.0, abs(a))
         for got, want in ((r1.estimate, r0.estimate), *zip(r1.ci, r0.ci)):
             # an end that escaped the search box keeps its infinite side
+            assert got == want if math.isinf(want) else got - want == pytest.approx(a, abs=tol)
+
+    @settings(deadline=None, max_examples=150)
+    @example(1, 0, 0, 33.0)
+    @given(st.integers(1, 10), st.integers(0, 20), st.integers(0, 2**16),
+           st.floats(-60.0, 60.0))
+    def test_conditional_ci_ends_move_at_any_distance_from_the_cut(self, n1, n2, seed, a):
+        # the CI's search box is centred at the estimate, so both CI ends move
+        # by a, or keep their infinite side, however close S1 sits to the cut;
+        # the estimate is checked only half a standard error or more above it
+        data = make_selected(0.5, n1, n2, seed)
+        shifted = TwoStageData(data.stage1 + a, data.stage2 + a,
+                               data.threshold + a * math.sqrt(n1))
+        r0, r1 = infer_conditional(data), infer_conditional(shifted)
+        pairs = list(zip(r1.ci, r0.ci))
+        if data.stage1_sum - data.threshold * math.sqrt(n1) >= 0.5 * math.sqrt(n1):
+            pairs.append((r1.estimate, r0.estimate))
+        tol = 1e-9 * max(1.0, abs(a))
+        for got, want in pairs:
             assert got == want if math.isinf(want) else got - want == pytest.approx(a, abs=tol)
 
 
