@@ -40,14 +40,17 @@ __all__ = [
 class LocationFamily:
     """Location family f(y; theta) = g(y - theta) with log-concave g.
 
-    scale is the standard deviation of g, used only to size quadrature
-    windows and optimizer brackets. sampler(rng, size) draws from g.
-    kinks lists points where log_g is not smooth, so quadrature panels
-    can break there and the selective MLE can be sought there.
+    dlog_g is the derivative of log_g, at a kink the mean of its one-sided
+    values. scale is the standard deviation of g, used only to size
+    quadrature windows and solver brackets. sampler(rng, size) draws from g.
+    kinks lists the points where log_g is not smooth; quadrature panels break
+    there, and log_g must be linear between them, so the selective MLE lies
+    at a kink.
     """
 
     name: str
     log_g: Callable[[np.ndarray], np.ndarray]
+    dlog_g: Callable[[np.ndarray], np.ndarray]
     scale: float
     sampler: Callable[[np.random.Generator, int], np.ndarray]
     kinks: tuple = ()
@@ -78,17 +81,17 @@ def register_family(family: LocationFamily, tol: float = 1e-8) -> LocationFamily
 
 
 register_family(LocationFamily(
-    "gaussian", std_normal_log_pdf, 1.0,
+    "gaussian", std_normal_log_pdf, np.negative, 1.0,
     lambda rng, size: rng.standard_normal(size),
 ))
 register_family(LocationFamily(
-    "laplace", _laplace_log_g, math.sqrt(2.0),
+    "laplace", _laplace_log_g, lambda x: -np.sign(x), math.sqrt(2.0),
     lambda rng, size: rng.laplace(0.0, 1.0, size),
     kinks=(0.0,),
 ))
 register_family(LocationFamily(
-    "logistic", _logistic_log_g, math.pi / math.sqrt(3.0),
-    lambda rng, size: rng.logistic(0.0, 1.0, size),
+    "logistic", _logistic_log_g, lambda x: -np.tanh(x / 2),
+    math.pi / math.sqrt(3.0), lambda rng, size: rng.logistic(0.0, 1.0, size),
 ))
 
 
@@ -121,34 +124,22 @@ def _profile_loglik(shift, residuals: np.ndarray, fam: LocationFamily):
     return fam.log_g(np.asarray(shift)[..., None] + residuals).sum(axis=-1)
 
 
-def _fd_score(theta: float, y: np.ndarray, fam: LocationFamily, h: float) -> float:
-    up = float(np.sum(fam.log_g(y - theta - h)))
-    dn = float(np.sum(fam.log_g(y - theta + h)))
-    return (up - dn) / (2.0 * h)
+def _score(y: np.ndarray, fam: LocationFamily) -> Callable[[float], float]:
+    """theta -> d/dtheta sum log g(y_i - theta), that is -sum dlog_g(y_i - theta)."""
+    return lambda theta: -float(np.sum(fam.dlog_g(y - theta)))
 
 
 def decompose(y, fam: LocationFamily, validate: bool = True) -> Configuration:
     """Split y into its location MLE and configuration.
 
-    log g is concave, so the score decreases and the MLE is its root,
-    bracketed from the median with step scale/sqrt(n). The score is a
-    finite difference: a five-point one of step 1e-3 scale, or where log g
-    has kinks a central one of step 1e-6 scale.
+    log g is concave, so the exact score decreases and the MLE is its root,
+    bracketed from the median with step scale/sqrt(n). The laplace score is
+    exactly 0 there, so its MLE is the median: for even n the midpoint.
     """
     y = np.asarray(y, dtype=float)
     if y.size < 1 or not np.all(np.isfinite(y)):
         raise ValueError("observations must be finite and nonempty")
-    # a five-point difference of step h, combined per observation before the
-    # sum, which halves its rounding; where log g has kinks, a central one
-    h = 1e-3 * fam.scale
-    shifts, weights = h * np.array([2.0, 1.0, -1.0, -2.0]), np.array([1, -8, 8, -1]) / (12.0 * h)
-
-    def score(theta):
-        if fam.kinks:
-            return _fd_score(theta, y, fam, 1e-6 * fam.scale)
-        return float(np.sum(fam.log_g((y - theta)[:, None] + shifts) @ weights))
-
-    theta_hat = solve_monotone(score, float(np.median(y)), fam.scale / math.sqrt(y.size),
+    theta_hat = solve_monotone(_score(y, fam), float(np.median(y)), fam.scale / math.sqrt(y.size),
                                float(np.abs(y).max()) + 2.0 * fam.scale, 1e-13, 1e-15)
     if math.isinf(theta_hat):
         raise RuntimeError(f"location MLE beyond the data, toward {theta_hat}")
@@ -299,29 +290,27 @@ def selective_location_inference(conf: Configuration, fam: LocationFamily,
     diagnostics = {"selection_cutoff": t_alpha, "selection_alpha": selection_alpha}
     estimate = -math.inf
     if t_alpha == -math.inf or t - t_alpha > 1e-12 * max(1.0, abs(t_alpha)):
-        # the best of the score's root and the kinks of log g in the box
-        # [t - 30 scale, t + 10 scale]: the gaussian likelihood is concave, the
-        # laplace one convex between observations, and no logistic sample has
-        # shown a second maximum. The score is a five-point difference of the
-        # density term plus L'(t_alpha - theta) = -exp(log f - L), exact
-        h = 1e-3 * fam.scale
-        y = a + t
+        # the best candidate in the box [t - 30 scale, t + 10 scale]: with kinks,
+        # log g is linear between them and the likelihood convex between
+        # observations, so any root is a minimum or a jump at an observation and
+        # the candidates are the kinks; else the root of the exact score, the
+        # density term plus L'(t_alpha - theta) = -exp(log f - L). The gaussian
+        # likelihood is concave, and no logistic sample has shown a second maximum
+        density = _score(a + t, fam)
         lo, hi = t - 30.0 * fam.scale, t + 10.0 * fam.scale
 
         def score(theta):
             x = t_alpha - theta
             cut = 0.0 if x == -math.inf else math.exp(_profile_loglik(x, a, fam) - log_tail(x))
-            return (4.0 * _fd_score(theta, y, fam, h) - _fd_score(theta, y, fam, 2.0 * h)) \
-                / 3.0 - cut
+            return density(theta) - cut
 
         def loglik(theta):
             return float(_profile_loglik(t - theta, a, fam)) - log_den(theta)
 
-        root = solve_monotone(score, t, fam.scale / math.sqrt(conf.n), abs(t) + 30.0 * fam.scale,
-                              1e-13, 1e-15)
-        kinks = [float(x) for k0 in fam.kinks for x in y - k0]
+        candidates = [float(x) for k0 in fam.kinks for x in t + a - k0] or [solve_monotone(
+            score, t, fam.scale / math.sqrt(conf.n), abs(t) + 30.0 * fam.scale, 1e-13, 1e-15)]
         left = loglik(lo)
-        best, best_ll = max(((x, loglik(x)) for x in [root, *kinks] if lo <= x <= hi),
+        best, best_ll = max(((x, loglik(x)) for x in candidates if lo <= x <= hi),
                             key=lambda c: c[1], default=(lo, left))
         # a likelihood that only levels off toward -inf is divergent
         if best_ll - left > 1e-8 * max(1.0, abs(best_ll)):
