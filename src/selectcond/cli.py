@@ -148,6 +148,8 @@ def _cmd_infer(args) -> int:
     for flag, value in (("--sigma", args.sigma), ("--sigma2", args.sigma2)):
         if not 0.0 < value < math.inf:
             raise _UsageError(f"{flag} must be positive and finite")
+    if args.scenario in ("two-stage", "polyhedral") and not math.isfinite(args.threshold):
+        raise _UsageError("--threshold must be finite")
     if args.scenario == "winners":
         y = _read_numbers(args.data)
         res = win.infer_winner(win.WinnersData(y, args.sigma), args.kind, args.level)

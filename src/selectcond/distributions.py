@@ -111,14 +111,13 @@ def _log_interval_mass(a: float, b: float) -> float:
     """log P(a < Z <= b) for standard normal Z, stable for same-tail intervals."""
     if not a < b:
         return -math.inf
+    if b <= 0.0:
+        # a left tail is the mirror of a right one, log_ndtr at the same arguments
+        return _log_interval_mass(-b, -a)
     if a >= 0.0:
         la = float(log_ndtr(-a))
         lb = float(log_ndtr(-b)) if b != math.inf else -math.inf
         out = la + _log1mexp(min(lb - la, 0.0))
-    elif b <= 0.0:
-        lb = float(log_ndtr(b))
-        la = float(log_ndtr(a)) if a != -math.inf else -math.inf
-        out = lb + _log1mexp(min(la - lb, 0.0))
     else:
         # interval straddles zero: both CDF values are moderate
         diff = float(ndtr(b)) - float(ndtr(a))
@@ -212,6 +211,12 @@ class TruncatedGaussian:
         return tuple(_log_interval_mass(a, b) for (a, b) in self._std_intervals)
 
     @cached_property
+    def _mirror(self) -> tuple:
+        """The standardized intervals and log masses of -T, in order."""
+        return (tuple((-b, -a) for (a, b) in reversed(self._std_intervals)),
+                tuple(reversed(self._log_masses)))
+
+    @cached_property
     def log_total_mass(self) -> float:
         """log of the untruncated-probability content of the truncation set."""
         return _logsumexp(self._log_masses)
@@ -228,42 +233,33 @@ class TruncatedGaussian:
         return any(l <= x < u for (l, u) in self.intervals)
 
 
-def truncated_cdf(x: float, tg: TruncatedGaussian) -> float:
-    """P(T <= x | T in truncation set)."""
+def _scan(x: float, tg: TruncatedGaussian, upper: bool) -> float:
+    """P(T <= x), or P(T > x) as P(-T < -x) from the mirror when upper."""
     x = float(x)
     if math.isnan(x):
         raise ValueError("x must not be NaN")
     z = (x - tg.mu) / tg.sigma if math.isfinite(x) else x
+    ivs, lms, z = (*tg._mirror, -z) if upper else (tg._std_intervals, tg._log_masses, z)
     parts = []
-    for (a, b), lm in zip(tg._std_intervals, tg._log_masses):
-        if z >= b:
-            parts.append(lm)
-        elif z > a:
-            parts.append(_log_interval_mass(a, z))
+    for (a, b), lm in zip(ivs, lms):
+        if z < b:
+            if z > a:
+                # a partial survival interval keeps its own orientation, (z, b):
+                # across 0, ndtr(b) - ndtr(z) and ndtr(-z) - ndtr(-b) differ in the last bit
+                parts.append(_log_interval_mass(-z, -a) if upper else _log_interval_mass(a, z))
             break
-        else:
-            break
-    num = _logsumexp(parts)
-    return min(1.0, math.exp(num - tg.log_total_mass))
+        parts.append(lm)
+    return min(1.0, math.exp(_logsumexp(parts) - tg.log_total_mass))
+
+
+def truncated_cdf(x: float, tg: TruncatedGaussian) -> float:
+    """P(T <= x | T in truncation set)."""
+    return _scan(x, tg, False)
 
 
 def truncated_sf(x: float, tg: TruncatedGaussian) -> float:
     """P(T > x | T in truncation set), accumulated from the right tail."""
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    z = (x - tg.mu) / tg.sigma if math.isfinite(x) else x
-    parts = []
-    for (a, b), lm in zip(reversed(tg._std_intervals), reversed(tg._log_masses)):
-        if z <= a:
-            parts.append(lm)
-        elif z < b:
-            parts.append(_log_interval_mass(z, b))
-            break
-        else:
-            break
-    num = _logsumexp(parts)
-    return min(1.0, math.exp(num - tg.log_total_mass))
+    return _scan(x, tg, True)
 
 
 def truncated_logpdf(x: float, tg: TruncatedGaussian) -> float:
@@ -295,10 +291,8 @@ def truncated_quantile(q: float, tg: TruncatedGaussian) -> float:
     if q <= 0.5:
         z = _quantile_scan(tg._std_intervals, tg._log_masses, math.log(q) + tg.log_total_mass)
     else:
-        # work from the right via the reflected distribution for precision near 1
-        refl_ivs = tuple((-b, -a) for (a, b) in reversed(tg._std_intervals))
-        refl_lm = tuple(reversed(tg._log_masses))
-        z = -_quantile_scan(refl_ivs, refl_lm, math.log1p(-q) + tg.log_total_mass)
+        # work from the right on the mirror for precision near 1
+        z = -_quantile_scan(*tg._mirror, math.log1p(-q) + tg.log_total_mass)
     return tg.mu + tg.sigma * z
 
 
@@ -327,9 +321,7 @@ def _sample_tail_rejection(a: float, n: int, rng: np.random.Generator,
     while filled < n:
         k = max(n - filled, 64)
         z = a + rng.exponential(1.0 / lam, size=k)
-        accept = rng.random(k) <= np.exp(-0.5 * (z - lam) ** 2)
-        if b != math.inf:
-            accept &= z < b
+        accept = (rng.random(k) <= np.exp(-0.5 * (z - lam) ** 2)) & (z < b)
         good = z[accept]
         take = min(good.size, n - filled)
         out[filled:filled + take] = good[:take]
@@ -348,16 +340,12 @@ def truncated_sample(tg: TruncatedGaussian, rng: np.random.Generator, size=None)
     the uniform input is the binding constraint.
     """
     n = 1 if size is None else int(size)
-    if len(tg.intervals) == 1:
-        a, b = tg._std_intervals[0]
-        if a >= _TAIL_REJECTION_CUTOFF:
-            z = _sample_tail_rejection(a, n, rng, b)
-            out = tg.mu + tg.sigma * z
-            return float(out[0]) if size is None else out
-        if b <= -_TAIL_REJECTION_CUTOFF:
-            z = -_sample_tail_rejection(-b, n, rng, -a)
-            out = tg.mu + tg.sigma * z
-            return float(out[0]) if size is None else out
-    u = rng.random(n)
-    out = np.array([truncated_quantile(ui, tg) for ui in u])
+    # a left tail is drawn as the negated draws of its mirror's right tail
+    for sign, ivs in ((1.0, tg._std_intervals), (-1.0, tg._mirror[0])):
+        a, b = ivs[0]
+        if len(ivs) == 1 and a >= _TAIL_REJECTION_CUTOFF:
+            out = tg.mu + tg.sigma * (sign * _sample_tail_rejection(a, n, rng, b))
+            break
+    else:
+        out = np.array([truncated_quantile(ui, tg) for ui in rng.random(n)])
     return float(out[0]) if size is None else out

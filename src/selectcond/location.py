@@ -67,14 +67,15 @@ def _logistic_log_g(x):
 
 
 FAMILIES = {}
+_MASS_TOL = 1e-8  # how far from one a registered density's integral may be
 
 
-def register_family(family: LocationFamily, tol: float = 1e-8) -> LocationFamily:
+def register_family(family: LocationFamily) -> LocationFamily:
     """Register a family after checking that exp(log_g) integrates to one."""
     total, _ = quad(lambda x: math.exp(float(family.log_g(x))),
                     -40.0 * family.scale, 40.0 * family.scale,
                     epsabs=1e-12, epsrel=1e-12, limit=200)
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > _MASS_TOL:
         raise ValueError(f"density of {family.name!r} integrates to {total}, not 1")
     FAMILIES[family.name] = family
     return family
@@ -129,7 +130,7 @@ def _score(y: np.ndarray, fam: LocationFamily) -> Callable[[float], float]:
     return lambda theta: -float(np.sum(fam.dlog_g(y - theta)))
 
 
-def decompose(y, fam: LocationFamily, validate: bool = True) -> Configuration:
+def decompose(y, fam: LocationFamily) -> Configuration:
     """Split y into its location MLE and configuration.
 
     log g is concave, so the exact score decreases and the MLE is its root,
@@ -145,14 +146,13 @@ def decompose(y, fam: LocationFamily, validate: bool = True) -> Configuration:
         raise RuntimeError(f"location MLE beyond the data, toward {theta_hat}")
 
     a = y - theta_hat
-    if validate:
-        # theta_hat must be a local maximum: both one-sided slopes
-        # non-positive, which holds at a kink of log g too
-        hv = 1e-4 * fam.scale
-        mid = _profile_loglik(0.0, a, fam)
-        slope = max(_profile_loglik(hv, a, fam) - mid, _profile_loglik(-hv, a, fam) - mid) / hv
-        if slope > 1e-8 * max(1.0, float(y.size)):
-            raise ValueError(f"residuals are not a configuration: slope {slope:.2e}")
+    # theta_hat must be a local maximum: both one-sided slopes
+    # non-positive, which holds at a kink of log g too
+    hv = 1e-4 * fam.scale
+    mid = _profile_loglik(0.0, a, fam)
+    slope = max(_profile_loglik(hv, a, fam) - mid, _profile_loglik(-hv, a, fam) - mid) / hv
+    if slope > 1e-8 * max(1.0, float(y.size)):
+        raise ValueError(f"residuals are not a configuration: slope {slope:.2e}")
     return Configuration(a, theta_hat)
 
 

@@ -246,7 +246,7 @@ def normalize_columns(X) -> np.ndarray:
 def _has_unit_columns(X) -> bool:
     """Whether every column of X has unit Euclidean length, to 1e-8."""
     norms = np.linalg.norm(np.asarray(X, dtype=float), axis=0)
-    return not np.any(np.abs(norms - 1.0) > 1e-8)
+    return bool(np.all(np.abs(norms - 1.0) <= 1e-8))
 
 
 def marginal_screening_event(X, y, threshold: float):

@@ -54,6 +54,8 @@ class TwoStageData:
         s2 = np.asarray(self.stage2, dtype=float).reshape(-1).copy()
         if s1.size < 1:
             raise ValueError("stage1 must contain at least one observation")
+        if not math.isfinite(self.threshold):
+            raise ValueError("threshold must be finite")
         s1.setflags(write=False)
         s2.setflags(write=False)
         object.__setattr__(self, "stage1", s1)
@@ -234,7 +236,9 @@ def _score(theta: float, data: TwoStageData, prior: SampleSizePrior) -> float:
 def _unconditional_mle(data: TwoStageData, prior: SampleSizePrior) -> float:
     # the score root: for the mixture M of selection probabilities, (log M)'' >=
     # sum_k w_k k (log Phi)'' > -max k, so the log likelihood is concave when
-    # n >= max(support); below that a bounded search localizes the maximum
+    # n >= max(support); below that a bounded search localizes the maximum, as the
+    # score root uphill from S/n can be a lesser mode (stage1 = (2.5,), 0.5 on {1, 6}:
+    # the root is 2.264, the maximum -0.673)
     raw, concave = data.total_sum / data.n, data.n >= max(prior.support)
     center, step = raw, 1.0
     if not concave:

@@ -169,7 +169,8 @@ class TestInfer:
     @pytest.mark.parametrize("rows, values", [
         ("1,0\n0,1\n1,1", "2.0,0.5,1.0"),
         ("1,0\n0,1\n0,0", "2.0,0.5"),
-    ], ids=["columns-not-unit-norm", "rows-not-matching-data"])
+        ("1,0\n0,nan\n0,1", "2.0,0.5,1.0"),
+    ], ids=["columns-not-unit-norm", "rows-not-matching-data", "column-with-nan"])
     def test_polyhedral_bad_design_exits_one(self, tmp_path, capsys, rows, values):
         design = tmp_path / "X.csv"
         design.write_text(rows)
@@ -195,10 +196,16 @@ class TestInfer:
          "--sigma2", "-1"],
         ["two-stage", "--data", "{y3}", "--n1", "0"],
         ["two-stage", "--data", "{y3}", "--n1", "4"],
+        # argparse reads "-inf" after a space as a flag
+        ["two-stage", "--data", "{y3}", "--n1", "3", "--threshold=-inf"],
+        ["two-stage", "--data", "{y3}", "--n1", "3", "--threshold", "inf"],
+        ["two-stage", "--data", "{y3}", "--n1", "3", "--threshold", "nan"],
+        ["polyhedral", "--design", "{X}", "--data", "{y3}", "--threshold", "inf"],
     ], ids=["level", "two-stage-level", "location-alpha", "location-level",
             "polyhedral-threshold", "polyhedral-coordinate", "winners-sigma-nan",
             "winners-sigma-inf", "winners-sigma-zero", "polyhedral-sigma2",
-            "two-stage-n1-zero", "two-stage-n1-past-data"])
+            "two-stage-n1-zero", "two-stage-n1-past-data", "two-stage-threshold-minus-inf",
+            "two-stage-threshold-inf", "two-stage-threshold-nan", "polyhedral-threshold-inf"])
     def test_bad_flag_exits_one(self, tmp_path, capsys, argv):
         paths = {"y3": tmp_path / "y3.csv", "y5": tmp_path / "y5.csv",
                  "X": tmp_path / "X.csv"}

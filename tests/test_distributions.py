@@ -16,6 +16,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from selectcond.distributions import (
     _LSE_LOOP_MAX,
+    _log_interval_mass,
     _logsumexp,
     EmptyTruncationError,
     TruncatedGaussian,
@@ -385,3 +386,41 @@ class TestLogSumExp:
         assert math.isnan(_logsumexp(both))
         assert _logsumexp(np.full(n, 3.0)) == pytest.approx(3.0 + math.log(n),
                                                              rel=4 * n * EPS)
+
+
+def mirror(tg: TruncatedGaussian) -> TruncatedGaussian:
+    """The law of -T."""
+    return TruncatedGaussian(-tg.mu, tg.sigma, [(-u, -l) for l, u in reversed(tg.intervals)])
+
+
+class TestMirror:
+    """Right-side quantities are left-side ones of the mirror image -T."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.floats(0.0, 40.0), st.floats(0.0, 40.0) | st.just(INF),
+           st.floats(1e-17, 1e-8))
+    def test_interval_mass_is_symmetric(self, a, b, tiny):
+        # same-sign intervals, including widths below CDF resolution
+        for lo, hi in ((min(a, b), max(a, b)), (a, a + tiny)):
+            assert _log_interval_mass(lo, hi) == _log_interval_mass(-hi, -lo)
+
+    @pytest.mark.parametrize("mu, sigma, lo, hi", [
+        (0.0, 1.0, -INF, -6.0), (1.5, 2.0, -INF, -40.0),
+        (-3.0, 0.5, -7.0, -6.5), (0.0, 1.0, -31.0, -30.0),
+    ])
+    def test_left_tail_draws_negate_the_mirror(self, mu, sigma, lo, hi):
+        tg = TruncatedGaussian(mu, sigma, [(mu + sigma * lo, mu + sigma * hi)])
+        draws = truncated_sample(tg, np.random.default_rng(9), 500)
+        assert np.array_equal(draws, -truncated_sample(mirror(tg), np.random.default_rng(9), 500))
+        assert truncated_sample(tg, np.random.default_rng(3)) == -truncated_sample(
+            mirror(tg), np.random.default_rng(3))
+
+    @settings(deadline=None, max_examples=100)
+    @given(truncated_gaussians(), st.floats(-10.0, 10.0))
+    def test_sf_is_the_mirror_cdf(self, tg, x):
+        # a piece across mu is a difference of two ndtr values near 1/2, exact to
+        # about eps absolute whichever way round, so relative only if it is wide
+        across = any(l < tg.mu < u for l, u in tg.intervals)
+        slack = 8.0 * EPS * math.exp(-tg.log_total_mass) if across else 0.0
+        assert truncated_sf(x, tg) == pytest.approx(truncated_cdf(-x, mirror(tg)),
+                                                    rel=1e-14, abs=slack)

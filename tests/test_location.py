@@ -206,7 +206,7 @@ class TestLocationPvalue:
             us = []
             for _ in range(5000):
                 y = fam.sampler(rng, 6)
-                us.append(location_pvalue(decompose(y, fam, validate=False), fam))
+                us.append(location_pvalue(decompose(y, fam), fam))
             assert ks_uniform(us) < 0.03
 
 
@@ -334,7 +334,7 @@ class TestEmptyInterval:
 
 
 def _sample_configuration(fam, n, seed):
-    return decompose(fam.sampler(np.random.default_rng(seed), n), fam, validate=False)
+    return decompose(fam.sampler(np.random.default_rng(seed), n), fam)
 
 
 class TestTailTable:

@@ -8,6 +8,7 @@ from scipy.special import ndtr
 
 from selectcond.distributions import TruncatedGaussian, truncated_cdf, truncated_sf
 from selectcond.polyhedral import (
+    _has_unit_columns,
     LinearTarget,
     NoSelectionError,
     Polyhedron,
@@ -275,6 +276,14 @@ class TestMarginalScreening:
         X = 2.0 * normalize_columns(np.random.default_rng(0).standard_normal((6, 2)))
         with pytest.raises(ValueError):
             marginal_screening_event(X, np.zeros(6), 1.0)
+
+    def test_rejects_a_column_with_nan(self):
+        # a NaN norm fails every comparison, so unit length must be asked as closeness
+        X = normalize_columns(np.random.default_rng(0).standard_normal((6, 2)))
+        X[3, 1] = math.nan
+        assert not _has_unit_columns(X)
+        with pytest.raises(ValueError, match="unit length"):
+            marginal_screening_event(X, np.ones(6), 1.0)
 
     def test_resampling_inside_event_reproduces_selection(self):
         rng = np.random.default_rng(11)

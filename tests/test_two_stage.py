@@ -39,6 +39,12 @@ class TestDataValidation:
         with pytest.raises(ValueError):
             TwoStageData(np.array([-1.0, 0.0]), np.array([0.5]))
 
+    @pytest.mark.parametrize("threshold", [-math.inf, math.inf, math.nan])
+    def test_rejects_non_finite_threshold(self, threshold):
+        # -inf would select every dataset and give a zero-width CI with a NaN p-value
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            TwoStageData(np.array([2.5, 1.0, 0.3]), np.array([0.5]), threshold)
+
     def test_randomized_bypass(self):
         d = TwoStageData(np.array([-1.0, 0.0]), np.array([0.5]),
                          enforce_selection=False)
@@ -252,10 +258,17 @@ class TestFileDrawer:
 
 
 class TestUnconditionalMle:
-    def test_matches_grid(self):
-        data = make_selected(0.3, 10, 5, 37)
-        prior = SampleSizePrior((5, 10, 20), np.array([0.3, 0.4, 0.3]))
-        grid = np.arange(-1.0, 2.0, 1e-4)
+    # bimodal below concavity (n = 1 < 6): the global maximum is at -0.67251
+    # (log likelihood -0.5235), while the score root uphill from S/n = 2.5 is
+    # the other maximum, 2.26374 (log likelihood -1.4288)
+    @pytest.mark.parametrize("data, prior, lo, hi", [
+        (make_selected(0.3, 10, 5, 37),
+         SampleSizePrior((5, 10, 20), np.array([0.3, 0.4, 0.3])), -1.0, 2.0),
+        (TwoStageData(np.array([2.5]), np.array([])),
+         SampleSizePrior((1, 6), np.array([0.5, 0.5])), -5.0, 5.0),
+    ], ids=["concave", "bimodal"])
+    def test_matches_grid(self, data, prior, lo, hi):
+        grid = np.arange(lo, hi, 1e-4)
         vals = np.array([unconditional_loglik(data, prior, t) for t in grid])
         oracle = float(grid[np.argmax(vals)])
         assert _unconditional_mle(data, prior) == pytest.approx(oracle, abs=2e-4)
