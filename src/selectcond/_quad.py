@@ -19,6 +19,16 @@ def _leggauss(n: int):
     return x, logw
 
 
+def gl_nodes(lo, hi, nodes: int) -> tuple:
+    """Gauss-Legendre points and log weights on [lo, hi], the package's one
+    node layout: (nodes,) arrays for scalar ends, (panels, nodes) for arrays
+    of ends. Every panel must have a positive half-width."""
+    x, logw = _leggauss(nodes)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    return (0.5 * (hi + lo))[..., None] + half[..., None] * x, np.log(half)[..., None] + logw
+
+
 def log_integral_gl(log_f, lo: float, hi: float, nodes: int = 200) -> float:
     """log of int_lo^hi exp(log_f(x)) dx by Gauss-Legendre, all in log space.
 
@@ -26,14 +36,11 @@ def log_integral_gl(log_f, lo: float, hi: float, nodes: int = 200) -> float:
     smooth one-signed integrands whose features are resolved by the node
     spacing; callers choose the window.
     """
-    half = 0.5 * (hi - lo)
     # a window of subnormal width can have a half-width of zero
-    if not half > 0.0:
+    if not 0.5 * (hi - lo) > 0.0:
         return -math.inf
-    x, logw = _leggauss(nodes)
-    pts = 0.5 * (hi + lo) + half * x
-    vals = np.asarray(log_f(pts), dtype=float) + logw
-    return _logsumexp(vals) + math.log(half)
+    pts, logw = gl_nodes(lo, hi, nodes)
+    return _logsumexp(np.asarray(log_f(pts), dtype=float) + logw)
 
 
 def log_integral_panels(log_f, breakpoints, nodes: int = 32, hi=None) -> float:
@@ -53,10 +60,7 @@ def log_integral_panels(log_f, breakpoints, nodes: int = 32, hi=None) -> float:
         if not np.any(keep):
             return -math.inf
         lo, hi = lo[keep], hi[keep]
-    x, logw = _leggauss(nodes)
-    half = 0.5 * (hi - lo)
-    pts = 0.5 * (hi + lo)[:, None] + half[:, None] * x[None, :]
-    logw = np.log(half)[:, None] + logw[None, :]
+    pts, logw = gl_nodes(lo, hi, nodes)
     if flat:
         pts, logw = pts.ravel(), logw.ravel()
     return _logsumexp((np.asarray(log_f(pts), dtype=float) + logw).ravel())

@@ -110,7 +110,10 @@ def _read_numbers(source: str) -> np.ndarray:
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ValueError("no numeric data supplied")
-    return np.array([float(t) for t in tokens])
+    values = np.array([float(t) for t in tokens])
+    if not np.all(np.isfinite(values)):
+        raise _UsageError("--data values must be finite")
+    return values
 
 
 def _result_json(res: InferenceResult) -> str:

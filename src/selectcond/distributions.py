@@ -108,20 +108,22 @@ def _log1mexp(t: float) -> float:
 
 
 def _log_interval_mass(a: float, b: float) -> float:
-    """log P(a < Z <= b) for standard normal Z, stable for same-tail intervals."""
+    """log P(a < Z <= b) for standard normal Z, relatively accurate in either
+    tail and across 0."""
     if not a < b:
         return -math.inf
     if b <= 0.0:
-        # a left tail is the mirror of a right one, log_ndtr at the same arguments
+        # a left-side interval is the mirror image of a right-side one
         return _log_interval_mass(-b, -a)
-    if a >= 0.0:
+    if a < 1.0:
+        # erf is odd and keeps its relative accuracy near 0, where an ndtr
+        # difference of two values near 1/2 does not
+        diff = 0.5 * (math.erf(b / _SQRT2) - math.erf(a / _SQRT2))
+        out = math.log(diff) if diff > 0.0 else -math.inf
+    else:
         la = float(log_ndtr(-a))
         lb = float(log_ndtr(-b)) if b != math.inf else -math.inf
         out = la + _log1mexp(min(lb - la, 0.0))
-    else:
-        # interval straddles zero: both CDF values are moderate
-        diff = float(ndtr(b)) - float(ndtr(a))
-        out = math.log(diff) if diff > 0.0 else -math.inf
     if out == -math.inf and math.isfinite(a) and math.isfinite(b):
         # width below CDF resolution: midpoint-density approximation
         mid = 0.5 * (a + b)
@@ -244,9 +246,7 @@ def _scan(x: float, tg: TruncatedGaussian, upper: bool) -> float:
     for (a, b), lm in zip(ivs, lms):
         if z < b:
             if z > a:
-                # a partial survival interval keeps its own orientation, (z, b):
-                # across 0, ndtr(b) - ndtr(z) and ndtr(-z) - ndtr(-b) differ in the last bit
-                parts.append(_log_interval_mass(-z, -a) if upper else _log_interval_mass(a, z))
+                parts.append(_log_interval_mass(a, z))
             break
         parts.append(lm)
     return min(1.0, math.exp(_logsumexp(parts) - tg.log_total_mass))

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtri
 
-from ._quad import _leggauss, log_integral_gl, log_integral_panels
+from ._quad import gl_nodes, log_integral_gl, log_integral_panels
 from .distributions import std_normal_log_pdf
 from .results import InferenceResult
 from .selective import equal_tailed_inference, solve_monotone
@@ -196,11 +196,8 @@ def _tail_table(residuals: np.ndarray, fam: LocationFamily) -> Callable[[float],
     edges = np.concatenate([[-40.0 * s, -8.0 * s, -4.0 * s, -2.0 * s, top], grid]
                            + [float(k0) - residuals for k0 in fam.kinks])
     edges = np.unique(edges[(edges >= -40.0 * s) & (edges <= top)])
-    nodes, logw = _leggauss(32)
-    half = 0.5 * np.diff(edges)
-    u = (edges[:-1] + half)[:, None] + half[:, None] * nodes
-    masses = np.logaddexp.reduce(_profile_loglik(u, residuals, fam) + logw
-                                 + np.log(half)[:, None], axis=1)
+    u, logw = gl_nodes(edges[:-1], edges[1:], 32)
+    masses = np.logaddexp.reduce(_profile_loglik(u, residuals, fam) + logw, axis=1)
     cum = np.append(np.logaddexp.accumulate(masses[::-1])[::-1], -math.inf).tolist()
     edges = edges.tolist()
 

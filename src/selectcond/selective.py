@@ -461,9 +461,15 @@ def solve_monotone(g, center: float, step: float, limit: float,
     -inf or +inf, the side of the root. Chandrupatla's method (1997) then
     finishes from the known values at the bracket ends and the probe
     before, until the bracket is at most xtol + rtol |x| wide. No point is
-    evaluated twice.
+    evaluated twice. A NaN value raises ValueError.
     """
-    a, ga = b, gb = p, gp = center, g(center)
+    def value(x: float) -> float:
+        gx = g(x)
+        if math.isnan(gx):
+            raise ValueError(f"solve_monotone: the function is NaN at {x}")
+        return gx
+
+    a, ga = b, gb = p, gp = center, value(center)
     s = 1.0 if ga > 0.0 else -1.0
     over, width, last = 0.1, step, 0.0
     while s * gb > 0.0:
@@ -479,7 +485,7 @@ def solve_monotone(g, center: float, step: float, limit: float,
                 width *= 2.0
             b = center + s * width
         b = s * min(s * b, limit)
-        gb = g(b)
+        gb = value(b)
     # Chandrupatla: [x1, x2] the bracket, x3 a third point beyond x1 (at
     # first the probe before x1); inverse quadratic interpolation where the
     # three points make it safe, else regula falsi at the first step
@@ -498,7 +504,7 @@ def solve_monotone(g, center: float, step: float, limit: float,
         # rtol >= 4 eps keeps the clipped point off both ends
         tl, fallback = 0.5 * tol / abs(x2 - x1), 0.5
         xt = x1 + min(max(t, tl), 1.0 - tl) * (x2 - x1)
-        ft = g(xt)
+        ft = value(xt)
         if (ft > 0.0) == (f1 > 0.0):
             x3, f3 = x1, f1
         else:

@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 from scipy.special import log_ndtr
 
-from ._quad import _leggauss, log_integral_gl
+from ._quad import gl_nodes
 from .distributions import _logsumexp, mills_excess, std_normal_log_pdf, std_normal_quantile
 from .results import InferenceResult
 from .selective import equal_tailed_inference, solve_monotone
@@ -64,6 +64,8 @@ class WinnersData:
         arr = np.asarray(self.y, dtype=float).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "y", arr)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("y must be finite")
         if not 0.0 < self.sigma < math.inf:
             raise ValueError("sigma must be positive and finite")
         idx = argmax_select(arr) if self.selected_index is None else int(self.selected_index)
@@ -82,27 +84,23 @@ class WinnersData:
         return self.y[mask]
 
 
-def _log_win_integrand(pts: np.ndarray, theta1: float, others: np.ndarray,
-                       sigma: float) -> np.ndarray:
-    z = (pts - theta1) / sigma
-    out = std_normal_log_pdf(z) - math.log(sigma)
-    out = out + log_ndtr((pts[:, None] - others[None, :]) / sigma).sum(axis=1)
-    return out
+def _win_nodes(d: np.ndarray, lo, hi) -> tuple:
+    """The winner's law on Gauss-Legendre nodes over [lo, hi] in z = (y_1 -
+    theta_1) / sigma, with d = (theta_1 - theta_j) / sigma for the losers: the
+    nodes z, the losers' standardized margins z + d and their log Phi, and the
+    log node masses log(w phi(z) prod Phi(z + d)). Arrays of ends give one row
+    per panel. Working relative to theta_1 keeps rounding relative to sigma."""
+    z, logw = gl_nodes(lo, hi, _GL_NODES)
+    zo = z[..., None] + d
+    log_cdfs = log_ndtr(zo)
+    return z, zo, log_cdfs, std_normal_log_pdf(z) + log_cdfs.sum(axis=-1) + logw
 
 
-def _log_win_integral(lo: float, hi: float, theta1: float, others: np.ndarray,
-                      sigma: float) -> float:
-    return log_integral_gl(
-        lambda pts: _log_win_integrand(pts, theta1, others, sigma),
-        lo, hi, _GL_NODES,
-    )
-
-
-def _window(theta1: float, others: np.ndarray, sigma: float) -> tuple:
-    """Where the winner's selected law lives: 12 sigma below theta1, and
-    12 sigma above the largest mean, since larger nuisance means push it up."""
-    return (theta1 - _WINDOW_SIGMAS * sigma,
-            max(theta1, float(np.max(others))) + _WINDOW_SIGMAS * sigma)
+def _top(d: np.ndarray) -> float:
+    """Where the winner's selected law ends, in z: 12 sigma above the largest
+    mean, since larger nuisance means push it up. It starts 12 sigma below
+    theta_1."""
+    return max(0.0, float(np.max(-d))) + _WINDOW_SIGMAS
 
 
 def log_normalizer_full(theta, sigma: float = 1.0) -> float:
@@ -112,9 +110,8 @@ def log_normalizer_full(theta, sigma: float = 1.0) -> float:
         raise ValueError("need at least two coordinates")
     if not 0.0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
-    t1 = float(th[0])
-    lo, hi = _window(t1, th[1:], sigma)
-    return _log_win_integral(lo, hi, t1, th[1:], sigma)
+    d = (th[0] - th[1:]) / sigma
+    return _logsumexp(_win_nodes(d, -_WINDOW_SIGMAS, _top(d))[3])
 
 
 def normalizer_full(theta, sigma: float = 1.0) -> float:
@@ -188,20 +185,14 @@ def _conditional_pivot(t: float, losers: np.ndarray, sigma: float) -> tuple:
 def _full_cdf(t: float, nuisance_means: np.ndarray, sigma: float,
               theta1: float, upper: bool = False) -> float:
     """P_theta1(T <= t | T wins), or P_theta1(T > t | T wins) when upper,
-    with the non-selected means plugged in. The upper side runs from t to
-    the window's top, or to 12 sigma above t when t lies past it."""
-    lo, hi = _window(theta1, nuisance_means, sigma)
-    if t <= lo:
-        return 1.0 if upper else 0.0
-    if upper:
-        a, b = t, max(hi, t + _WINDOW_SIGMAS * sigma)
-    elif t >= hi:
-        return 1.0
-    else:
-        a, b = lo, t
-    log_den = _log_win_integral(lo, hi, theta1, nuisance_means, sigma)
-    log_num = _log_win_integral(a, b, theta1, nuisance_means, sigma)
-    return math.exp(min(log_num - log_den, 0.0))
+    with the non-selected means plugged in. The window, widened to reach 12
+    sigma past t, is split at t: one pass gives both tails on 200 nodes each,
+    and their sum is the normalizer, so the two tails sum to one."""
+    d = (theta1 - nuisance_means) / sigma
+    z = (t - theta1) / sigma
+    lo, hi = min(z, 0.0) - _WINDOW_SIGMAS, max(z + _WINDOW_SIGMAS, _top(d))
+    log_tails = [_logsumexp(row) for row in _win_nodes(d, [lo, z], [z, hi])[3]]
+    return math.exp(log_tails[upper] - np.logaddexp(*log_tails))
 
 
 def _joint_pass(th: np.ndarray, y: np.ndarray, sigma: float) -> tuple:
@@ -212,18 +203,11 @@ def _joint_pass(th: np.ndarray, y: np.ndarray, sigma: float) -> tuple:
     with z_j = (u - theta_j) / sigma and lambda_j = phi(z_j) / Phi(z_j),
     their standardized means are -lambda_j and variances 1 - z_j lambda_j -
     lambda_j^2, so total covariance over the nodes gives the Hessian."""
-    t1, nuis = th[0], th[1:]
-    lo, hi = _window(t1, nuis, sigma)
-    glx, log_glw = _leggauss(_GL_NODES)
-    half = 0.5 * (hi - lo)
-    # node positions relative to theta_1, where rounding is relative to sigma, not to |theta|
-    z1 = (half / sigma) * (1.0 + glx) - _WINDOW_SIGMAS
-    zo = z1[:, None] + (t1 - nuis[None, :]) / sigma
-    log_cdfs = log_ndtr(zo)
-    log_nodes = std_normal_log_pdf(z1) + log_cdfs.sum(axis=1) + log_glw
+    d = (th[0] - th[1:]) / sigma
+    z1, zo, log_cdfs, log_nodes = _win_nodes(d, -_WINDOW_SIGMAS, _top(d))
     lse = _logsumexp(log_nodes)
     zz = (y - th) / sigma
-    value = lse + math.log(half / sigma) - float(np.sum(std_normal_log_pdf(zz)))
+    value = lse - float(np.sum(std_normal_log_pdf(zz)))
     if not math.isfinite(value):
         return math.inf, None, None
     w = np.exp(log_nodes - lse)

@@ -1,11 +1,17 @@
 """Tests for the command-line interface and its exit-code contract."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from selectcond.cli import main
 from selectcond.winners import WinnersData, WinnersModelKind, infer_winner
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -215,6 +221,29 @@ class TestInfer:
         argv = [a.format(**paths) for a in argv]
         assert main(["infer", *argv]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ["winners", "--kind", "conditional-on-losers"],
+        ["winners", "--kind", "full-vector"],
+        ["two-stage", "--n1", "2"],
+        ["location", "--alpha", "0.5"],
+        ["polyhedral", "--design", "{X}", "--threshold", "0.1"],
+    ], ids=["winners-losers", "winners-full-vector", "two-stage", "location", "polyhedral"])
+    def test_non_finite_data_exits_one(self, tmp_path, argv, bad):
+        # in a subprocess with a timeout: the conditional-on-losers MLE once
+        # spun without end on "1.0 inf 0.5"
+        data = tmp_path / "y.csv"
+        data.write_text(f"1.0 {bad} 0.5")
+        design = tmp_path / "X.csv"
+        design.write_text("1,0\n0,1\n0,0")
+        argv = [a.format(X=design) for a in argv]
+        out = subprocess.run(
+            [sys.executable, "-m", "selectcond.cli", "infer", *argv, "--data", str(data)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert out.returncode == 1, out.stderr
+        assert "usage error: --data values must be finite" in out.stderr
 
     def test_empty_data_numeric_failure(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"

@@ -10,7 +10,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import logsumexp as scipy_logsumexp
 
@@ -424,3 +424,42 @@ class TestMirror:
         slack = 8.0 * EPS * math.exp(-tg.log_total_mass) if across else 0.0
         assert truncated_sf(x, tg) == pytest.approx(truncated_cdf(-x, mirror(tg)),
                                                     rel=1e-14, abs=slack)
+
+
+def mpmath_interval_mass(a: float, b: float):
+    """P(a < Z <= b) from erfc at the working precision (120 digits here),
+    with a left-side interval mirrored to the right, where erfc keeps its
+    relative accuracy: 1 - ncdf cancels at 50 digits once a tail reaches
+    1e-50, and erfc near 2 as well."""
+    if b <= 0.0:
+        a, b = -b, -a
+    root2 = mpmath.sqrt(2)
+    return (mpmath.erfc(mpmath.mpf(a) / root2) - mpmath.erfc(mpmath.mpf(b) / root2)) / 2
+
+
+class TestNarrowAroundMean:
+    """A truncation to one interval around mu: its mass is a difference of two
+    CDF values near 1/2 unless formed from erf, odd and relatively accurate
+    near 0. An ndtr difference read truncated_cdf(w/2) as 0.7500870 for
+    (-w, w) at w = 1e-12."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.floats(-5.0, 5.0), st.floats(0.1, 10.0), st.floats(-12.0, 1.5),
+           st.floats(0.0, 1.0), st.floats(0.01, 0.99))
+    @example(0.0, 1.0, math.log10(2e-12), 0.5, 0.75)
+    @example(0.0, 1.0, math.log10(2e-12), 0.5, 0.25)
+    def test_cdf_and_sf_against_mpmath(self, mu, sigma, log10_width, left, inside):
+        width = sigma * 10.0 ** log10_width
+        lo = mu - left * width
+        hi = lo + width
+        x = lo + inside * width
+        assume(lo < mu < hi and lo < x < hi)
+        tg = TruncatedGaussian(mu, sigma, [(lo, hi)])
+        # the standardized doubles the code works with
+        a, b, z = ((v - mu) / sigma for v in (lo, hi, x))
+        with mpmath.workdps(120):
+            mass = mpmath_interval_mass(a, b)
+            cdf = float(mpmath_interval_mass(a, z) / mass)
+            sf = float(mpmath_interval_mass(z, b) / mass)
+        assert truncated_cdf(x, tg) == pytest.approx(cdf, rel=1e-12, abs=0.0)
+        assert truncated_sf(x, tg) == pytest.approx(sf, rel=1e-12, abs=0.0)

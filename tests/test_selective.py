@@ -316,6 +316,23 @@ class TestSolveMonotone:
         solve_monotone(g, center, step, self.LIMIT, self.XTOL, self.RTOL)
         assert len(set(seen)) == len(seen)
 
+    @pytest.mark.parametrize("center, step, edge", [(0.0, 1.0, 1.5), (0.0, 0.1, 3.0),
+                                                    (math.inf, 1.0, 1.5)])
+    def test_a_nan_value_raises(self, center, step, edge):
+        # g falls through its root at 5 but reads NaN past edge, as a score
+        # does at an infinite observation; a NaN value once spun the finish
+        # without end, so g gives up after 1000 calls rather than hang the test
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            if len(calls) > 1000:
+                raise RuntimeError("solve_monotone did not stop at a NaN value")
+            return 5.0 - x if x <= edge else math.nan
+
+        with pytest.raises(ValueError, match="NaN"):
+            solve_monotone(g, center, step, math.inf, self.XTOL, self.RTOL)
+
     # the probit pivot of an untruncated Gaussian is linear in theta: the
     # first secant brackets a root within 4 steps and regula falsi lands on it
     @settings(deadline=None, max_examples=200)

@@ -331,13 +331,40 @@ class TestFullVectorUpperTail:
         assert 0.0 < res.pvalue < 1e-30
 
 
+class TestFullVectorPivot:
+    """The full-vector tails come from one pass over the window split at t:
+    the lower tail falls in theta_1 and the two tails sum to one, across
+    |theta_1 - t| <= 50 sigma. A normalizer taken by its own rule over the
+    window let the lower tail rise by up to 1e-4 and the tails miss one by
+    up to 3e-4."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2**16), st.integers(1, 12), st.integers(4, 6),
+           st.sampled_from([0.5, 1.0, 2.0]))
+    @example(5, 12, 4, 1.0)
+    def test_lower_tail_falls_and_tails_sum_to_one(self, seed, draw, m, sigma):
+        # y is the draw-th of 2 sigma N(0, 1)^m from default_rng(seed); the
+        # example is y = (-2.203, 0.066, 0.087, -3.977), whose lower tail at
+        # theta_1 = winner - 40 read 0.9999995955 where the upper read 1.4e-66
+        rng = np.random.default_rng(seed)
+        for _ in range(draw):
+            y = 2.0 * sigma * rng.standard_normal(m)
+        data = WinnersData(y, sigma)
+        _, tail, _ = winners._full_vector_pivot(data.winner, data.losers, sigma)
+        thetas = data.winner + sigma * np.linspace(-50.0, 50.0, 801)
+        lower = np.array([tail(th, False) for th in thetas])
+        upper = np.array([tail(th, True) for th in thetas])
+        assert np.all(np.diff(lower) <= 0.0)
+        assert np.abs(lower + upper - 1.0).max() <= 1e-12
+
+
 def _projected_gradient(th, y, sigma):
     _, g, _ = _joint_pass(th, y, sigma)
     return th - np.clip(th - g, y - 20.0 * sigma, y + 10.0 * sigma)
 
 
 def _negloglik(th, y, sigma=1.0):
-    # independent of _joint_pass: the normalizer by log_integral_gl
+    # the normalizer by log_normalizer_full, which sums the nodes _joint_pass sums
     z = (y - th) / sigma
     return (log_normalizer_full(th, sigma) + float(np.sum(0.5 * z * z))
             + y.size * math.log(sigma * math.sqrt(2.0 * math.pi)))
